@@ -4,7 +4,7 @@ The package builds the eight-dimensional split Okubo algebra over exact
 fields through three independent models, checks the symmetric-composition
 identities, computes its derivation Lie algebra, and enumerates and
 classifies its idempotents.  All arithmetic is exact; finite-field hot loops
-run through numba kernels with a pure-numpy fallback (OKUBO_PURE_NUMPY=1).
+run on integer-encoded elements through lookup tables (``_kernels``).
 """
 
 from .fields import (

@@ -1,17 +1,28 @@
 """Integer-encoded kernels for finite-field hot loops.
 
 Elements of a finite field with q elements are encoded by their enumeration
-index 0..q-1 and all arithmetic goes through q x q int64 lookup tables, so
-the same kernels serve GF(p) and GF(p^k) alike.  The hot loops (row
-reduction, the idempotent census scan, batched bilinear products) each have
-two interchangeable implementations:
+index 0..q-1 and all arithmetic goes through q x q lookup tables, so the
+same kernels serve GF(p) and GF(p^k) alike.
 
-* a numba ``@njit`` loop, compiled lazily on first use (the default), and
-* a vectorized pure-numpy fallback.
-
-Set ``OKUBO_PURE_NUMPY=1`` to force the numpy path; it is also used
-automatically when numba is not importable.  Both paths produce identical
-results (the RREF of a matrix is unique), which the test suite checks.
+* Row reduction has two interchangeable implementations: a numba ``@njit``
+  loop, compiled lazily on first use (the default), and a vectorized
+  pure-numpy fallback.  Set ``OKUBO_PURE_NUMPY=1`` to force the numpy path;
+  it is also used automatically when numba is not importable.  Both produce
+  identical results (the RREF of a matrix is unique), which the test suite
+  checks.
+* The idempotent census has two scans that differ by algorithm, not by
+  backend.  The main pass runs ``census_codes``, a split-grid scan that
+  tabulates half-vector parts of v*v once and filters the grid of candidates
+  coordinate by coordinate.  The census's dual pass runs
+  ``census_codes_reference`` over the tensor re-read from JSON: a
+  brute-force scan that forms the whole image of every candidate.  Both test
+  every one of the q^dim candidates against v*v = v.  Neither solves for a
+  coordinate from n(v) = 1, although every nonzero idempotent satisfies it:
+  the census reports check n(e) = 1, and a scan that assumed it would make
+  that check pass by construction.
+* Batched products, quadratic forms and minimal-polynomial degrees of 3x3
+  matrices act on encoded coordinate rows; they serve the randomized
+  identity trials and the full-field census.
 """
 
 from __future__ import annotations
@@ -181,100 +192,126 @@ def rref_encoded(field, arr, impl=None):
 # ---------------------------------------------------------------------------
 # idempotent census scan
 # ---------------------------------------------------------------------------
+#
+# A candidate v is numbered by its code sum_d v[d] q^(dim-1-d): v[0] is the
+# most significant digit, so increasing codes enumerate coordinate tuples
+# lexicographically.
 
 
-def _census_loop(start, stop, q, dim, tidx, tc, add_t, mul_t, out):
-    # code <-> coordinates: v[0] is the most significant digit, so scanning
-    # codes in increasing order enumerates coordinate tuples lexicographically
-    count = 0
-    v = np.empty(dim, dtype=np.int64)
-    w = np.empty(dim, dtype=np.int64)
-    for code in range(start, stop):
-        if code == 0:
-            continue
-        x = code
-        for d in range(dim - 1, -1, -1):
-            v[d] = x % q
-            x //= q
-        for d in range(dim):
-            w[d] = 0
-        for e in range(tidx.shape[0]):
-            i = tidx[e, 0]
-            j = tidx[e, 1]
-            k = tidx[e, 2]
-            w[k] = add_t[w[k], mul_t[tc[e], mul_t[v[i], v[j]]]]
-        ok = True
-        for d in range(dim):
-            if w[d] != v[d]:
-                ok = False
-                break
-        if ok:
-            out[count] = code
-            count += 1
-    return count
+def _digits(q, codes, width):
+    """Base-q digits of each code, most significant first: an (N, width) array."""
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(codes, dtype=np.int64)[:, None] // powers[None, :]) % q
 
 
-def _census_numpy(start, stop, q, dim, tidx, tc, add_t, mul_t, out):
-    codes = np.arange(start, stop, dtype=np.int64)
-    powers = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    v = (codes[:, None] // powers[None, :]) % q
-    w = np.zeros_like(v)
-    for e in range(tidx.shape[0]):
-        i, j, k = int(tidx[e, 0]), int(tidx[e, 1]), int(tidx[e, 2])
-        w[:, k] = add_t[w[:, k], mul_t[tc[e], mul_t[v[:, i], v[:, j]]]]
-    mask = (w == v).all(axis=1) & (codes != 0)
-    found = codes[mask]
-    out[: found.size] = found
-    return int(found.size)
+def _encode_entries(field, tensor_entries):
+    return [(i, j, k, field.element_index(c)) for i, j, k, c in tensor_entries]
 
 
-if HAS_NUMBA:
-    _census_fast = njit(cache=True)(_census_loop)
-else:
-    _census_fast = _census_numpy
+def _split_entries(entries, h):
+    """Sort encoded entries (i, j, k, c) into pure-hi (both factors among the
+    first h coordinates), pure-lo (neither) and cross (one of each)."""
+    pure_hi, pure_lo, cross = [], [], []
+    for e in entries:
+        n_hi = (e[0] < h) + (e[1] < h)
+        (pure_lo, cross, pure_hi)[n_hi].append(e)
+    return pure_hi, pure_lo, cross
 
 
-def census_codes(field, tensor_entries, dim, impl=None, chunk=1 << 20):
-    """Codes of all nonzero fixed points of v -> v*v, by exhaustive scan.
+def census_codes(field, tensor_entries, dim, chunk=1 << 20):
+    """Codes of all nonzero fixed points of v -> v*v, in increasing order.
 
     ``tensor_entries`` is a list of (i, j, k, scalar) sparse tensor entries.
+    Every one of the q^dim candidates is tested against v*v = v by a
+    split-grid scan.  A code is hi * q^(dim-h) + lo with h = dim // 2, and
+    each image coordinate w_k splits into a part that depends on hi alone
+    (products of two hi coordinates), a part that depends on lo alone, and
+    cross terms c v_a v_b with v_a a hi and v_b a lo coordinate.  The first
+    two parts are tabulated once over the q^h and q^(dim-h) half-vectors.
+    The hi x lo grid is then walked in blocks of about ``chunk`` candidates;
+    for k = 0, 1, ... the cross terms of w_k are added and only candidates
+    with w_k = v_k are kept, so each step keeps about 1/q of the survivors.
+    Arithmetic goes through the field's tables, cast to the smallest
+    unsigned type that holds q - 1 (uint8 for q <= 256).
+    """
+    t = tables_for(field)
+    q = t.q
+    small = np.min_scalar_type(q - 1)
+    add = t.add.astype(small)
+    mul = t.mul.astype(small)
+    h = dim // 2
+    nhi, nlo = q**h, q ** (dim - h)
+    hd = _digits(q, np.arange(nhi), h).T.astype(small)  # hd[d][hi] = v_d
+    ld = _digits(q, np.arange(nlo), dim - h).T.astype(small)  # ld[d - h][lo] = v_d
+    pure_hi, pure_lo, cross = _split_entries(_encode_entries(field, tensor_entries), h)
+    part_hi = np.zeros((dim, nhi), dtype=small)
+    for i, j, k, c in pure_hi:
+        part_hi[k] = add[part_hi[k], mul[c, mul[hd[i], hd[j]]]]
+    part_lo = np.zeros((dim, nlo), dtype=small)
+    for i, j, k, c in pure_lo:
+        part_lo[k] = add[part_lo[k], mul[c, mul[ld[i - h], ld[j - h]]]]
+    # a cross term c v_a v_b (a < h <= b) as (c v_a over hi, v_b over lo)
+    terms = [[] for _ in range(dim)]
+    for i, j, k, c in cross:
+        a, b = (i, j) if i < h else (j, i)
+        terms[k].append((mul[c, hd[a]], ld[b - h]))
+
+    def keep(k, hi, lo):
+        w = add[part_hi[k][hi], part_lo[k][lo]]
+        for factor_hi, v_lo in terms[k]:
+            w = add[w, mul[factor_hi[hi], v_lo[lo]]]
+        return w == (hd[k][hi] if k < h else ld[k - h][lo])
+
+    # row-major blocks: several whole hi rows, or one row cut into pieces
+    rows, cols = max(1, chunk // nlo), min(chunk, nlo)
+    found = []
+    for r0 in range(0, nhi, rows):
+        hi_block = np.arange(r0, min(r0 + rows, nhi))
+        for c0 in range(0, nlo, cols):
+            lo_block = np.arange(c0, min(c0 + cols, nlo))
+            r, c = np.nonzero(keep(0, hi_block[:, None], lo_block[None, :]))
+            hi, lo = hi_block[r], lo_block[c]
+            for k in range(1, dim):
+                ok = keep(k, hi, lo)
+                hi, lo = hi[ok], lo[ok]
+            found.append(hi * nlo + lo)
+    codes = np.concatenate(found)
+    return codes[codes != 0]
+
+
+def census_codes_reference(field, tensor_entries, dim, chunk=1 << 20):
+    """The same codes as ``census_codes``, by a different algorithm: a
+    brute-force scan that expands every candidate code into its digits and
+    forms and compares its whole image v*v, ``chunk`` codes at a time.
     """
     t = tables_for(field)
     q = t.q
     total = q**dim
-    tidx = np.array([[i, j, k] for i, j, k, _ in tensor_entries], dtype=np.int64)
-    tc = np.array(
-        [field.element_index(c) for _, _, _, c in tensor_entries], dtype=np.int64
-    )
-    fn = impl if impl is not None else _census_fast
+    entries = _encode_entries(field, tensor_entries)
     found = []
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        out = np.empty(stop - start, dtype=np.int64)
-        n = fn(start, stop, q, dim, tidx, tc, t.add, t.mul, out)
-        if n:
-            found.append(out[:n].copy())
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(found)
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        v = _digits(q, codes, dim)
+        w = np.zeros_like(v)
+        for i, j, k, c in entries:
+            w[:, k] = t.add[w[:, k], t.mul[c, t.mul[v[:, i], v[:, j]]]]
+        found.append(codes[(w == v).all(axis=1)])
+    codes = np.concatenate(found)
+    return codes[codes != 0]
+
+
+def census_digits(field, codes, dim):
+    """Encoded coordinates of census codes: an (N, dim) int64 array."""
+    return _digits(field.cardinality, codes, dim)
 
 
 def decode_census(field, codes, dim):
     """Turn census codes back into tuples of Scalars, in scan order."""
-    els = tables_for(field).elements
-    q = len(els)
-    out = []
-    for code in codes.tolist():
-        digits = [None] * dim
-        for d in range(dim - 1, -1, -1):
-            digits[d] = els[code % q]
-            code //= q
-        out.append(tuple(digits))
-    return out
+    return decode_rows(field, census_digits(field, codes, dim))
 
 
 # ---------------------------------------------------------------------------
-# batched bilinear products (shared numpy helper for randomized identity trials)
+# batched products, forms and 3x3 matrices on encoded coordinate rows
 # ---------------------------------------------------------------------------
 
 
@@ -286,6 +323,63 @@ def batch_multiply(field, tensor_entries, X, Y):
         cc = field.element_index(c)
         Z[:, k] = t.add[Z[:, k], t.mul[cc, t.mul[X[:, i], Y[:, j]]]]
     return Z
+
+
+def batch_quadratic_form(field, form, X):
+    """Encoded values n(x) of a ``QuadraticForm`` on the encoded rows of X."""
+    t = tables_for(field)
+    dim = X.shape[1]
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    for i in range(dim):
+        for j in range(i, dim):
+            c = form.values[i] if i == j else form.polar[i, j]
+            if c:
+                term = t.mul[X[:, i], X[:, j]]
+                out = t.add[out, t.mul[field.element_index(c), term]]
+    return out
+
+
+def batch_linear_combination(field, X, vectors):
+    """Rows sum_i X[r, i] vectors[i], for encoded coefficient rows X (N, n)
+    and encoded vectors (n, m)."""
+    t = tables_for(field)
+    out = np.zeros((X.shape[0], vectors.shape[1]), dtype=np.int64)
+    for i in range(X.shape[1]):
+        out = t.add[out, t.mul[X[:, i][:, None], vectors[i][None, :]]]
+    return out
+
+
+def batch_minpoly_degrees(field, M):
+    """Degree of the minimal polynomial of each encoded square matrix M[r],
+    capped at 3 (so exact for 3x3): 1 if M is scalar, 2 if M^2 lies in
+    span(I, M), 3 otherwise.
+
+    With M' = M - M[0,0] I and S' = M^2 - M^2[0,0] I, M^2 lies in span(I, M)
+    iff S' is a multiple of M', that is iff every 2x2 minor of the pair of
+    flattened matrices (M', S') vanishes.
+    """
+    t = tables_for(field)
+    N, n, _ = M.shape
+    sq = np.zeros_like(M)
+    for r in range(n):
+        for s in range(n):
+            for k in range(n):
+                sq[:, r, s] = t.add[sq[:, r, s], t.mul[M[:, r, k], M[:, k, s]]]
+
+    def shifted(A):
+        A = A.copy()
+        d = np.arange(n)
+        minus_a00 = t.neg[A[:, 0, 0]]
+        A[:, d, d] = t.add[A[:, d, d], minus_a00[:, None]]
+        return A.reshape(N, n * n)
+
+    a, b = shifted(M), shifted(sq)
+    parallel = np.ones(N, dtype=bool)
+    for p in range(n * n):
+        for r in range(p + 1, n * n):
+            parallel &= t.mul[a[:, p], b[:, r]] == t.mul[a[:, r], b[:, p]]
+    scalar = (a == 0).all(axis=1)
+    return np.where(scalar, 1, np.where(parallel, 2, 3))
 
 
 def batch_equal(X, Y):
@@ -302,8 +396,7 @@ def random_coord_batch(field, rng, count, dim):
 
 def implementations():
     """Both implementations of each kernel, for benchmarks and agreement tests."""
-    impls = {"rref": {"numpy": _rref_numpy}, "census": {"numpy": _census_numpy}}
+    impls = {"rref": {"numpy": _rref_numpy}}
     if HAS_NUMBA:
         impls["rref"]["numba"] = _rref_fast
-        impls["census"]["numba"] = _census_fast
     return impls

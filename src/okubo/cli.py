@@ -24,7 +24,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import _kernels, idempotents, liealg
-from .errors import OkuboError
+from .errors import BadOption, OkuboError
 from .fields import field_from_spec
 from .models import (
     build_char3_model,
@@ -97,42 +97,21 @@ def cmd_derivations(args):
 
 
 def cmd_census(args):
-    field = _field(args)
-    algebra = build_split_okubo(field)
+    algebra = build_split_okubo(_field(args))
+    falg = None
+    if args.full_field:
+        falg = build_split_okubo(field_from_spec(args.full_field))
+    # both scans must fit the budget before either runs
+    for alg in (algebra, falg):
+        if alg is not None:
+            idempotents.check_census_budget(alg.field, alg.dim, args.budget)
     summary = idempotents.census_summary(algebra, budget=args.budget)
     results = summary.summary()
     passed = summary.passed
-    if args.full_field:
-        ffield = field_from_spec(args.full_field)
-        falg = build_split_okubo(ffield)
-        idems = idempotents.enumerate_idempotents(falg, budget=args.budget)
-        one = ffield.one
-        norms_ok = all(falg.norm(f) == one for f in idems)
-        extra = {
-            "field": ffield.spec_string(),
-            "total": len(idems),
-            "all_norms_one": norms_ok,
-        }
-        if ffield.characteristic != 3:
-            from .fields import cube_root_of_unity
-            from .models import build_sl3_model
-
-            if cube_root_of_unity(ffield) is not None:
-                model = build_sl3_model(ffield)
-                degs = set()
-                deg_ok = True
-                for f in idems:
-                    d = idempotents.minpoly_check_char_not3(
-                        model, model.algebra.element(f.coords)
-                    )
-                    degs.add(d)
-                    if d > 2:
-                        deg_ok = False
-                extra["minpoly_degrees"] = sorted(degs)
-                extra["minpoly_at_most_2"] = deg_ok
-                norms_ok = norms_ok and deg_ok
+    if falg is not None:
+        extra, extra_passed = idempotents.full_field_census(falg, budget=args.budget)
         results["full_field"] = extra
-        passed = passed and norms_ok
+        passed = passed and extra_passed
     return results, passed
 
 
@@ -207,10 +186,19 @@ def build_parser():
     return parser
 
 
+def _check_options(args):
+    """Reject option values no command can run with, before any work."""
+    if args.trials < 1:
+        raise BadOption(f"--trials must be at least 1, got {args.trials}")
+    if getattr(args, "budget", 1) <= 0:
+        raise BadOption(f"--budget must be positive, got {args.budget}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         results, passed = args.fn(args)
     except OkuboError as exc:
         report = {

@@ -83,3 +83,7 @@ class ClassificationAnomaly(OkuboError):
 
 class BadFieldSpec(OkuboError):
     pass
+
+
+class BadOption(OkuboError):
+    """A command-line option value outside its valid range."""

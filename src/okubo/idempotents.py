@@ -12,9 +12,11 @@ induces
 In characteristic 3 the pair (dim of the centralizer, rank of the norm on
 it) takes exactly three values, giving the quaternionic / quadratic /
 singular trichotomy; anything else is reported as an anomaly, never forced
-into a bucket.  The exhaustive census runs through the integer-encoded scan
-kernels and is cross-checked by a second pass over the algebra's serialized
-tensor.
+into a bucket.  The exhaustive census runs through the integer-encoded
+split-grid scan and is cross-checked by a second, brute-force pass over the
+algebra's serialized tensor.  The raw full-field census checks n(f) = 1 and,
+away from characteristic 3, the minimal-polynomial degree of every
+idempotent, in batches on the encoded coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from .errors import (
     InfiniteField,
     NotIdempotent,
 )
+from .fields import cube_root_of_unity
 from .linalg import Matrix, Subspace, nullspace, solve
+from .models import build_sl3_model
 
 
 def is_idempotent(algebra, f):
@@ -50,23 +54,40 @@ def _require_idempotent(algebra, f):
 # ---------------------------------------------------------------------------
 
 
+def check_census_budget(field, dim, budget):
+    """Raise unless an exhaustive census of the q^dim candidates over a
+    finite field fits the candidate budget."""
+    if field.cardinality is None:
+        raise InfiniteField("the census needs a finite field")
+    candidates = field.cardinality**dim
+    if candidates > budget:
+        raise BudgetExceeded(
+            f"{candidates} candidates exceed the census budget {budget}"
+        )
+
+
+def idempotent_codes(algebra, budget=10**8):
+    """Census codes of all nonzero v with v*v = v, in increasing order.
+
+    Every candidate is tested; the scan does not assume n(v) = 1, which the
+    census reports check instead.
+    """
+    check_census_budget(algebra.field, algebra.dim, budget)
+    return _kernels.census_codes(algebra.field, algebra.entries, algebra.dim)
+
+
+def _decode(algebra, codes):
+    coords = _kernels.decode_census(algebra.field, codes, algebra.dim)
+    return [algebra.element(c) for c in coords]
+
+
 def enumerate_idempotents(algebra, budget=10**8):
     """All nonzero v with v*v = v over a finite field, exhaustively.
 
     Enumeration is lexicographic on coordinate tuples (in the field's
     canonical element order) with the zero vector skipped.
     """
-    field = algebra.field
-    if field.cardinality is None:
-        raise InfiniteField("the census needs a finite field")
-    candidates = field.cardinality**algebra.dim
-    if candidates > budget:
-        raise BudgetExceeded(
-            f"{candidates} candidates exceed the census budget {budget}"
-        )
-    codes = _kernels.census_codes(field, algebra.entries, algebra.dim)
-    coords = _kernels.decode_census(field, codes, algebra.dim)
-    return [algebra.element(c) for c in coords]
+    return _decode(algebra, idempotent_codes(algebra, budget))
 
 
 def find_idempotents_slice_search(algebra, count, seed=0, free=3, max_slices=20000):
@@ -489,6 +510,49 @@ def minpoly_check_char_not3(model, f):
     return len(m.minpoly()) - 1
 
 
+def minpoly_degrees(model, X):
+    """``minpoly_check_char_not3`` for a batch: the minimal-polynomial degree
+    of sum_i f_i B_i over the model's basis matrices B_i, for each encoded
+    coordinate row f of X.  The rows are taken to be idempotents, unchecked."""
+    field = model.field
+    basis = _kernels.encode_rows(field, [m.to_vec() for m in model.basis_matrices])
+    mats = _kernels.batch_linear_combination(field, X, basis).reshape(-1, 3, 3)
+    return _kernels.batch_minpoly_degrees(field, mats)
+
+
+# ---------------------------------------------------------------------------
+# the raw full-field census
+# ---------------------------------------------------------------------------
+
+
+def full_field_census(algebra, budget=10**8):
+    """Raw census over any finite field: the number of nonzero idempotents,
+    whether each has n(f) = 1, and, when the matrix model exists (char != 3
+    with a cube root of unity), the minimal-polynomial degrees of the
+    idempotents as 3x3 matrices, each of which must be at most 2.
+
+    Runs batched on the encoded census codes; returns (results, passed).
+    """
+    field = algebra.field
+    codes = idempotent_codes(algebra, budget=budget)
+    X = _kernels.census_digits(field, codes, algebra.dim)
+    norms = _kernels.batch_quadratic_form(field, algebra.form, X)
+    norms_ok = bool((norms == field.element_index(field.one)).all())
+    results = {
+        "field": field.spec_string(),
+        "total": int(codes.size),
+        "all_norms_one": norms_ok,
+    }
+    passed = norms_ok
+    if field.characteristic != 3 and cube_root_of_unity(field) is not None:
+        degrees = minpoly_degrees(build_sl3_model(field), X)
+        deg_ok = bool((degrees <= 2).all())
+        results["minpoly_degrees"] = sorted(set(degrees.tolist()))
+        results["minpoly_at_most_2"] = deg_ok
+        passed = passed and deg_ok
+    return results, passed
+
+
 # ---------------------------------------------------------------------------
 # the census summary
 # ---------------------------------------------------------------------------
@@ -531,27 +595,20 @@ class CensusSummary:
 
 
 def _dual_pass_codes(algebra):
-    """Re-run the census over the serialized-and-reread tensor.
-
-    The second pass always runs the numpy implementation, so with numba
-    active the two passes share neither code path nor tensor object; under
-    OKUBO_PURE_NUMPY the independence comes from the JSON round trip.
-    """
+    """Re-run the census over the serialized-and-reread tensor with the
+    brute-force reference kernel, so that the two passes share neither the
+    tensor object nor the scan algorithm."""
     reread = StructureConstantAlgebra.from_json(algebra.to_json())
-    impls = _kernels.implementations()["census"]
-    return _kernels.census_codes(
-        reread.field, reread.entries, reread.dim, impl=impls["numpy"]
-    )
+    return _kernels.census_codes_reference(reread.field, reread.entries, reread.dim)
 
 
 def census_summary(algebra, budget=10**8):
     """Exhaustive census with classification over a finite characteristic-3 field."""
     if algebra.field.characteristic != 3:
         raise BadCharacteristic("the classified census is characteristic 3 only")
-    idems = enumerate_idempotents(algebra, budget=budget)
-    codes_main = _kernels.census_codes(algebra.field, algebra.entries, algebra.dim)
-    codes_check = _dual_pass_codes(algebra)
-    dual_ok = bool(np.array_equal(np.sort(codes_main), np.sort(codes_check)))
+    codes = idempotent_codes(algebra, budget=budget)
+    dual_ok = bool(np.array_equal(codes, _dual_pass_codes(algebra)))
+    idems = _decode(algebra, codes)
     by_type = {QUATERNIONIC: 0, QUADRATIC: 0, SINGULAR: 0}
     anomalies = []
     reports = []
@@ -570,6 +627,12 @@ def census_summary(algebra, budget=10**8):
                     "centralizer_dim": exc.centralizer_dim,
                     "norm_rank": exc.norm_rank,
                 }
+            )
+            continue
+        except NotIdempotent:
+            # a scan fault, which the dual pass reports as well
+            anomalies.append(
+                {"element": [str(c) for c in f.coords], "not_idempotent": True}
             )
             continue
         reports.append(rep)

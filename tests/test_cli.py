@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from okubo import _kernels
 from okubo.algebra import StructureConstantAlgebra
 from okubo.cli import main
 from okubo.models import build_split_okubo
@@ -89,6 +91,30 @@ class TestSubcommands:
         assert code == 2
         assert "NotIdempotent" in report["error"]
 
+    def test_full_field_budget_checked_before_any_scan(self, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan ran before the budget check")
+
+        monkeypatch.setattr(_kernels, "census_codes", no_scan)
+        monkeypatch.setattr(_kernels, "census_codes_reference", no_scan)
+        code, report = run_cli(
+            capsys, "census", "--field", "gf(3)", "--full-field", "gf(11)"
+        )
+        assert code == 2
+        assert "BudgetExceeded" in report["error"]
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_rejected(self, capsys, budget):
+        code, report = run_cli(capsys, "census", "--field", "gf(3)", "--budget", budget)
+        assert code == 2
+        assert "BadOption" in report["error"]
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, report = run_cli(capsys, "verify", "--field", "gf(3)", "--trials", trials)
+        assert code == 2
+        assert "BadOption" in report["error"]
+
     def test_bad_field_spec(self, capsys):
         code, report = run_cli(capsys, "verify", "--field", "gf(6)")
         assert code == 2
@@ -128,6 +154,34 @@ class TestExportAndReports:
         assert report["seed"] == 3
         assert "timestamp" in report
         assert report["backend"] in ("numba", "numpy")
+
+
+def test_scan_fault_caught_by_dual_pass(capsys, monkeypatch):
+    # the main kernel loses one cross term; the reference kernel of the dual
+    # pass does not split the tensor, so the census must fail its check
+    split = _kernels._split_entries
+
+    def drop_one_cross_term(entries, h):
+        pure_hi, pure_lo, cross = split(entries, h)
+        return pure_hi, pure_lo, cross[1:]
+
+    monkeypatch.setattr(_kernels, "_split_entries", drop_one_cross_term)
+    code, report = run_cli(capsys, "census", "--field", "gf(3)")
+    assert code == 1 and not report["passed"]
+    assert report["results"]["dual_pass_consistent"] is False
+
+
+def test_scan_false_hit_reported_as_failed_check(capsys, monkeypatch):
+    # a kernel that also returns the non-idempotent basis vector x(1,-1)
+    scan = _kernels.census_codes
+    monkeypatch.setattr(
+        _kernels, "census_codes", lambda *a, **kw: np.concatenate([[1], scan(*a, **kw)])
+    )
+    code, report = run_cli(capsys, "census", "--field", "gf(3)")
+    assert code == 1 and not report["passed"]
+    assert report["results"]["dual_pass_consistent"] is False
+    false_hit = {"element": ["0"] * 7 + ["1"], "not_idempotent": True}
+    assert false_hit in report["results"]["anomalies"]
 
 
 @pytest.mark.slow

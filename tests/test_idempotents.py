@@ -1,14 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
+from okubo import _kernels
+from okubo.algebra import StructureConstantAlgebra
 from okubo.errors import (
     BadCharacteristic,
     BudgetExceeded,
     InfiniteField,
     NotIdempotent,
 )
-from okubo.fields import GF, rationals
+from okubo.fields import GF, field_from_spec, rationals
 from okubo.idempotents import (
     QUADRATIC,
     QUATERNIONIC,
@@ -19,8 +22,11 @@ from okubo.idempotents import (
     enumerate_idempotents,
     find_idempotents_slice_search,
     fixed_space,
+    full_field_census,
+    idempotent_codes,
     is_idempotent,
     minpoly_check_char_not3,
+    minpoly_degrees,
     nonclassified_report,
     norm_rank_on,
     para_hurwitz_of,
@@ -30,7 +36,7 @@ from okubo.idempotents import (
     unit_of,
 )
 from okubo.linalg import Matrix, Subspace
-from okubo.models import build_split_okubo, distinguished_idempotent
+from okubo.models import build_sl3_model, build_split_okubo, distinguished_idempotent
 
 # frozen census facts for GF(3), derived by two independent brute-force passes
 GF3_TOTAL = 81
@@ -257,6 +263,39 @@ class TestCensusSummary:
     def test_char_not3_rejected(self, okubo_gf7):
         with pytest.raises(BadCharacteristic):
             census_summary(okubo_gf7)
+
+
+class TestFullFieldCensus:
+    @pytest.mark.parametrize("spec, sample", [("gf(2^2;t^2+t+1)", None), ("gf(7)", 200)])
+    def test_batched_checks_match_object_path(self, spec, sample):
+        field = field_from_spec(spec)
+        algebra = build_split_okubo(field)
+        model = build_sl3_model(field)
+        codes = idempotent_codes(algebra)
+        if sample is not None:
+            codes = np.array(sorted(random.Random(5).sample(codes.tolist(), sample)))
+        X = _kernels.census_digits(field, codes, algebra.dim)
+        norms = _kernels.batch_quadratic_form(field, algebra.form, X)
+        degrees = minpoly_degrees(model, X)
+        rows = _kernels.decode_rows(field, X)
+        assert len(rows) == (sample or 336)
+        for row, n, d in zip(rows, norms.tolist(), degrees.tolist()):
+            assert field.element_from_index(n) == algebra.norm(algebra.element(row))
+            assert d == minpoly_check_char_not3(model, model.algebra.element(row))
+
+    def test_mutated_tensor_fails_all_norms_one(self, gf3, okubo_gf3):
+        # x(1,0)*x(1,0) = -x(-1,0) instead of x(-1,0): the mutated algebra
+        # still has nonzero idempotents, and some have n(f) != 1
+        tensor = [[list(row) for row in plane] for plane in okubo_gf3.tensor]
+        tensor[0][0][1] = -gf3.one
+        mutated = StructureConstantAlgebra(
+            gf3, 8, okubo_gf3.labels, tensor, form=okubo_gf3.form
+        )
+        results, passed = full_field_census(mutated)
+        assert results["all_norms_one"] is False and not passed
+        idems = enumerate_idempotents(mutated)
+        assert len(idems) == results["total"] > 0
+        assert any(mutated.norm(f) != gf3.one for f in idems)
 
 
 class TestMinpolyAndSliceSearch:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okubo import _kernels
 from okubo.fields import GF, field_from_spec
@@ -62,18 +64,40 @@ def test_rref_implementations_agree(spec):
         assert decoded == reps
 
 
-@pytest.mark.parametrize("spec", ["gf(3)", "gf(5)"])
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)", "gf(5)"])
 def test_census_implementations_agree(spec):
+    # the split-grid kernel against the brute-force reference; a hi row holds
+    # q^4 candidates, so the smaller chunks cut rows into pieces
     field = field_from_spec(spec)
     algebra = build_split_okubo(field)
-    impls = _kernels.implementations()["census"]
-    results = {
-        name: _kernels.census_codes(field, algebra.entries, algebra.dim, impl=impl)
-        for name, impl in impls.items()
-    }
-    values = list(results.values())
-    for other in values[1:]:
-        assert np.array_equal(values[0], other)
+    q = field.cardinality
+    reference = _kernels.census_codes_reference(field, algebra.entries, algebra.dim)
+    assert np.array_equal(
+        reference,
+        _kernels.census_codes_reference(field, algebra.entries, algebra.dim, chunk=1000),
+    )
+    for chunk in (1 << 20, 2 * q**4 + 1, q**4 - 1, q**4 // 3 + 1):
+        codes = _kernels.census_codes(field, algebra.entries, algebra.dim, chunk=chunk)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, reference), chunk
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_census_kernels_agree_on_random_tensors(data):
+    spec = data.draw(st.sampled_from(["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)"]))
+    field = field_from_spec(spec)
+    q = field.cardinality
+    dim = data.draw(st.integers(3, 6))
+    index = st.integers(0, dim - 1)
+    raw = data.draw(
+        st.lists(st.tuples(index, index, index, st.integers(1, q - 1)),
+                 max_size=3 * dim, unique_by=lambda e: e[:3])
+    )
+    entries = [(i, j, k, field.element_from_index(c)) for i, j, k, c in raw]
+    chunk = data.draw(st.integers(q, q**dim))
+    codes = _kernels.census_codes(field, entries, dim, chunk=chunk)
+    assert np.array_equal(codes, _kernels.census_codes_reference(field, entries, dim))
 
 
 def test_census_chunking_consistent(gf3, okubo_gf3):
@@ -101,6 +125,22 @@ def test_batch_multiply_matches_object_path(gf7, okubo_gf7):
         expect = okubo_gf7.multiply(x, y)
         got = okubo_gf7.element(_kernels.decode_coords(gf7, Z[r]))
         assert got == expect
+
+
+@pytest.mark.parametrize("spec", ["gf(7)", "gf(2^2;t^2+t+1)"])
+def test_batch_minpoly_degrees_match_object_path(spec):
+    field = field_from_spec(spec)
+    q = field.cardinality
+    rng = random.Random(6)
+    mats = [[[rng.randrange(q) for _ in range(3)] for _ in range(3)] for _ in range(40)]
+    # diag(a, a, b): degree 1 when a = b, else 2
+    mats += [[[a, 0, 0], [0, a, 0], [0, 0, b]] for a in range(q) for b in range(q)]
+    mats.append([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    degrees = _kernels.batch_minpoly_degrees(field, np.array(mats, dtype=np.int64))
+    assert set(degrees.tolist()) == {1, 2, 3}
+    for m, d in zip(mats, degrees.tolist()):
+        obj = Matrix(field, [[field.element_from_index(c) for c in row] for row in m])
+        assert d == len(obj.minpoly()) - 1
 
 
 def test_pure_numpy_env_flag():
