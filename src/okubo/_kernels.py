@@ -4,12 +4,9 @@ Elements of a finite field with q elements are encoded by their enumeration
 index 0..q-1 and all arithmetic goes through q x q lookup tables, so the
 same kernels serve GF(p) and GF(p^k) alike.
 
-* Row reduction has two interchangeable implementations: a numba ``@njit``
-  loop, compiled lazily on first use (the default), and a vectorized
-  pure-numpy fallback.  Set ``OKUBO_PURE_NUMPY=1`` to force the numpy path;
-  it is also used automatically when numba is not importable.  Both produce
-  identical results (the RREF of a matrix is unique), which the test suite
-  checks.
+* Row reduction is one vectorized numpy loop over the columns; the tests
+  compare it with the generic row reduction on scalar representations in
+  ``linalg``.
 * The idempotent census has two scans that differ by algorithm, not by
   backend.  The main pass runs ``census_codes``, a split-grid scan that
   tabulates half-vector parts of v*v once and filters the grid of candidates
@@ -20,36 +17,20 @@ same kernels serve GF(p) and GF(p^k) alike.
   coordinate from n(v) = 1, although every nonzero idempotent satisfies it:
   the census reports check n(e) = 1, and a scan that assumed it would make
   that check pass by construction.
-* Batched products, quadratic forms and minimal-polynomial degrees of 3x3
-  matrices act on encoded coordinate rows; they serve the randomized
-  identity trials and the full-field census.
+* Batched products, quadratic and polar forms and minimal-polynomial
+  degrees of 3x3 matrices act on encoded coordinate rows; they serve the
+  composition identity checks, the twist's randomized trials and the
+  full-field census.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
-PURE_NUMPY = os.environ.get("OKUBO_PURE_NUMPY", "") not in ("", "0")
-
-if PURE_NUMPY:
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAS_NUMBA = False
-
 #: largest field size for which lookup tables are built
 TABLE_MAX_Q = 256
-
-
-def backend_name():
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 def supports_field(field):
@@ -114,43 +95,18 @@ def decode_coords(field, arr):
 # ---------------------------------------------------------------------------
 
 
-def _rref_loop(a, add_t, mul_t, inv_t, neg_t, piv_out):
+def rref_encoded(field, arr):
+    """RREF of an encoded matrix; returns (reduced copy, pivot columns)."""
+    t = tables_for(field)
+    a = np.ascontiguousarray(arr, dtype=np.int64).copy()
+    if a.size == 0:
+        return a, ()
     m, n = a.shape
-    r = 0
+    pivots = []
     for c in range(n):
-        piv = -1
-        for i in range(r, m):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(n):
-                tmp = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = tmp
-        if a[r, c] != 1:
-            s = inv_t[a[r, c]]
-            for j in range(c, n):
-                a[r, j] = mul_t[s, a[r, j]]
-        for i in range(m):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, n):
-                    if a[r, j] != 0:
-                        a[i, j] = add_t[a[i, j], neg_t[mul_t[f, a[r, j]]]]
-        piv_out[r] = c
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    return r
-
-
-def _rref_numpy(a, add_t, mul_t, inv_t, neg_t, piv_out):
-    m, n = a.shape
-    r = 0
-    for c in range(n):
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
@@ -158,35 +114,14 @@ def _rref_numpy(a, add_t, mul_t, inv_t, neg_t, piv_out):
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         if a[r, c] != 1:
-            a[r] = mul_t[inv_t[a[r, c]], a[r]]
+            a[r] = t.mul[t.inv[a[r, c]], a[r]]
         rows = np.nonzero(a[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            prod = mul_t[a[rows, c][:, None], a[r][None, :]]
-            a[rows] = add_t[a[rows], neg_t[prod]]
-        piv_out[r] = c
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-if HAS_NUMBA:
-    _rref_fast = njit(cache=True)(_rref_loop)
-else:
-    _rref_fast = _rref_numpy
-
-
-def rref_encoded(field, arr, impl=None):
-    """RREF of an encoded matrix; returns (reduced copy, pivot columns)."""
-    t = tables_for(field)
-    a = np.ascontiguousarray(arr, dtype=np.int64).copy()
-    if a.size == 0:
-        return a, ()
-    piv = np.empty(min(a.shape), dtype=np.int64)
-    fn = impl if impl is not None else _rref_fast
-    rank = fn(a, t.add, t.mul, t.inv, t.neg, piv)
-    return a, tuple(int(c) for c in piv[:rank])
+            prod = t.mul[a[rows, c][:, None], a[r][None, :]]
+            a[rows] = t.add[a[rows], t.neg[prod]]
+        pivots.append(c)
+    return a, tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +274,21 @@ def batch_quadratic_form(field, form, X):
     return out
 
 
+def batch_polar_form(field, form, X, Y):
+    """Encoded values n(x, y) of the polar form of a ``QuadraticForm`` on the
+    row pairs of X and Y."""
+    t = tables_for(field)
+    dim = X.shape[1]
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    for i in range(dim):
+        for j in range(dim):
+            c = form.polar[i, j]
+            if c:
+                term = t.mul[X[:, i], Y[:, j]]
+                out = t.add[out, t.mul[field.element_index(c), term]]
+    return out
+
+
 def batch_linear_combination(field, X, vectors):
     """Rows sum_i X[r, i] vectors[i], for encoded coefficient rows X (N, n)
     and encoded vectors (n, m)."""
@@ -392,11 +342,3 @@ def random_coord_batch(field, rng, count, dim):
         [[rng.randrange(t.q) for _ in range(dim)] for _ in range(count)],
         dtype=np.int64,
     )
-
-
-def implementations():
-    """Both implementations of each kernel, for benchmarks and agreement tests."""
-    impls = {"rref": {"numpy": _rref_numpy}}
-    if HAS_NUMBA:
-        impls["rref"]["numba"] = _rref_fast
-    return impls

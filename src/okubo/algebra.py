@@ -7,9 +7,17 @@ polar bilinear matrix, so every characteristic, including 2, is representable:
 
     q(sum a_i b_i) = sum a_i^2 q(b_i) + sum_{i<j} a_i a_j B[i][j]
 
-The symmetric-composition checker verifies the three defining identities
-exhaustively on basis pairs/triples (a proof for the multilinear one) and on
-randomized element trials (guarding the nonlinear ones at element level).
+The symmetric-composition checker proves the three defining identities.
+Polar associativity n(x*y, z) = n(x, y*z) is trilinear, so the 512 basis
+triples prove it.  The nonlinear identities n(x*y) = n(x)n(y) and
+(x*y)*x = n(x)y = x*(y*x) are quadratic in each variable (linear in y for
+the second), so they are proved by certificates: their values on the basis
+and on all sums of two basis vectors.  Randomized element trials of all
+three identities stay as a second route.  Over fields with lookup tables
+(``_kernels.supports_field``) the certificates and trials run on
+integer-encoded arrays; over Q(w) and larger fields they run on elements.
+Both draw the trial elements from the same random stream in the same order,
+so their reports are identical.
 """
 
 from __future__ import annotations
@@ -17,7 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .errors import AlgebraMismatch, NoForm
+import numpy as np
+
+from . import _kernels
+from .errors import AlgebraMismatch, CoordinateCount, NoForm
 from .fields import field_from_spec
 from .linalg import Matrix, Subspace, nullspace
 
@@ -73,7 +84,7 @@ class AlgebraElement:
 
     def __init__(self, algebra, coords):
         if len(coords) != algebra.dim:
-            raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
+            raise CoordinateCount(f"expected {algebra.dim} coordinates, got {len(coords)}")
         self.algebra = algebra
         self.coords = tuple(coords)
 
@@ -278,24 +289,58 @@ class StructureConstantAlgebra:
         checks.append(IdentityCheck("norm_multiplicative_basis", self.dim**2, mult_fail[:3]))
         checks.append(IdentityCheck("xyx_identity_basis", self.dim**2, flip_fail[:3]))
 
-        # randomized element-level trials for the nonlinear identities
-        rand_fail = {"norm_multiplicative": [], "xyx_identity": [], "polar_associative": []}
-        for _ in range(trials):
-            x = self.random_element(rng)
-            y = self.random_element(rng)
-            z = self.random_element(rng)
-            xy = self.multiply(x, y)
-            if self.norm(xy) != self.norm(x) * self.norm(y):
-                rand_fail["norm_multiplicative"].append(tuple(map(str, x.coords)))
-            nx = self.norm(x)
-            if self.multiply(xy, x) != y * nx or self.multiply(x, self.multiply(y, x)) != y * nx:
-                rand_fail["xyx_identity"].append(tuple(map(str, x.coords)))
-            if self.norm_polar(xy, z) != self.norm_polar(x, self.multiply(y, z)):
-                rand_fail["polar_associative"].append(tuple(map(str, x.coords)))
-        for name, fails in rand_fail.items():
-            checks.append(IdentityCheck(f"{name}_random", trials, fails[:3]))
+        # the nonlinear identities, on encoded arrays when the field has
+        # lookup tables and on elements otherwise
+        batch = _EncodedBatch(self) if _kernels.supports_field(self.field) else _ObjectBatch(self)
+        checks.extend(self._composition_certificates(batch))
+
+        # randomized element-level trials: a second route, drawn x, y, z in
+        # turn from one stream, so both kinds of batch see the same elements
+        X, Y, Z = batch.draw(rng, trials)
+        XY = batch.multiply(X, Y)
+        holds = {
+            "norm_multiplicative": batch.norm_multiplicative(X, Y, XY),
+            "xyx_identity": batch.xyx_identity(X, Y, XY),
+            "polar_associative": batch.equal(
+                batch.polar(XY, Z), batch.polar(X, batch.multiply(Y, Z))
+            ),
+        }
+        for name, ok in holds.items():
+            fails = [batch.coords_text(X, r) for r in np.flatnonzero(~ok)[:3]]
+            checks.append(IdentityCheck(f"{name}_random", trials, fails))
 
         return CompositionReport(seed=seed, trials=trials, checks=checks)
+
+    def _composition_certificates(self, batch):
+        """Complete checks of n(x*y) = n(x)n(y) and (x*y)*x = n(x)y = x*(y*x).
+
+        A quadratic map Q vanishes identically iff it vanishes on the points
+        S = {e_i} + {e_i + e_j : i < j}, because Q(e_i) and
+        Q(e_i + e_j) - Q(e_i) - Q(e_j) are its coefficients; this holds in
+        every characteristic.  (x*y)*x - n(x)y and x*(y*x) - n(x)y are
+        quadratic in x and linear in y, so x in S and y in the basis decide
+        them (8 * 36 cases); n(x*y) - n(x)n(y) is quadratic in each
+        variable, so S x S decides it (36 * 36 cases).
+        """
+        basis = self.basis()
+        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
+        points = basis + [basis[i] + basis[j] for i, j in pairs]
+        names = list(self.labels) + [f"{self.labels[i]}+{self.labels[j]}" for i, j in pairs]
+        P, B = batch.rows(points), batch.rows(basis)
+        checks = []
+
+        xs, ys = np.divmod(np.arange(len(points) * self.dim), self.dim)
+        X, Y = batch.take(P, xs), batch.take(B, ys)
+        ok = batch.xyx_identity(X, Y, batch.multiply(X, Y))
+        fails = [(names[xs[r]], self.labels[ys[r]]) for r in np.flatnonzero(~ok)[:3]]
+        checks.append(IdentityCheck("xyx_identity_certificate", len(xs), fails))
+
+        xs, ys = np.divmod(np.arange(len(points) ** 2), len(points))
+        X, Y = batch.take(P, xs), batch.take(P, ys)
+        ok = batch.norm_multiplicative(X, Y, batch.multiply(X, Y))
+        fails = [(names[xs[r]], names[ys[r]]) for r in np.flatnonzero(~ok)[:3]]
+        checks.append(IdentityCheck("norm_multiplicative_certificate", len(xs), fails))
+        return checks
 
     # -- serialization --
 
@@ -346,6 +391,109 @@ class StructureConstantAlgebra:
 
     def __repr__(self):
         return f"StructureConstantAlgebra(dim {self.dim} over {self.field})"
+
+
+class _Batch:
+    """Row-wise identity arithmetic on a batch of elements of one algebra.
+
+    Subclasses hold a batch in their own format and supply the primitives;
+    ``equal`` and the identities return one bool per row.
+    """
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+
+    def norm_multiplicative(self, X, Y, XY):
+        """n(x*y) = n(x)n(y) on each row, given XY = X*Y."""
+        return self.equal(self.norm(XY), self.times(self.norm(X), self.norm(Y)))
+
+    def xyx_identity(self, X, Y, XY):
+        """(x*y)*x = n(x)y = x*(y*x) on each row, given XY = X*Y."""
+        nxy = self.scale(Y, self.norm(X))
+        left = self.equal(self.multiply(XY, X), nxy)
+        return left & self.equal(self.multiply(X, self.multiply(Y, X)), nxy)
+
+
+class _ObjectBatch(_Batch):
+    """Lists of AlgebraElements and Scalars: exact arithmetic over any field."""
+
+    def rows(self, elements):
+        return list(elements)
+
+    def take(self, batch, index):
+        return [batch[i] for i in index]
+
+    def draw(self, rng, count):
+        rand = self.algebra.random_element
+        xyz = [(rand(rng), rand(rng), rand(rng)) for _ in range(count)]
+        return tuple([t[n] for t in xyz] for n in range(3))
+
+    def multiply(self, X, Y):
+        return [self.algebra.multiply(x, y) for x, y in zip(X, Y)]
+
+    def norm(self, X):
+        return [self.algebra.norm(x) for x in X]
+
+    def polar(self, X, Y):
+        return [self.algebra.norm_polar(x, y) for x, y in zip(X, Y)]
+
+    def scale(self, X, s):
+        return [x * c for x, c in zip(X, s)]
+
+    def times(self, a, b):
+        return [u * v for u, v in zip(a, b)]
+
+    def equal(self, A, B):
+        return np.array([u == v for u, v in zip(A, B)], dtype=bool)
+
+    def coords_text(self, X, r):
+        return tuple(map(str, X[r].coords))
+
+
+class _EncodedBatch(_Batch):
+    """Integer-encoded arrays: coordinate rows (N, dim) and scalars (N,),
+    computed through the field's lookup tables in ``_kernels``."""
+
+    def __init__(self, algebra):
+        super().__init__(algebra)
+        self.field = algebra.field
+        self.tables = _kernels.tables_for(algebra.field)
+
+    def rows(self, elements):
+        return _kernels.encode_rows(self.field, [x.coords for x in elements])
+
+    def take(self, batch, index):
+        return batch[index]
+
+    def draw(self, rng, count):
+        # a finite field's random_scalar is one randrange(q) whose value is
+        # the encoded element, so these are the elements _ObjectBatch draws
+        dim = self.algebra.dim
+        xyz = _kernels.random_coord_batch(self.field, rng, 3 * count, dim)
+        xyz = xyz.reshape(count, 3, dim)
+        return xyz[:, 0], xyz[:, 1], xyz[:, 2]
+
+    def multiply(self, X, Y):
+        return _kernels.batch_multiply(self.field, self.algebra.entries, X, Y)
+
+    def norm(self, X):
+        return _kernels.batch_quadratic_form(self.field, self.algebra.form, X)
+
+    def polar(self, X, Y):
+        return _kernels.batch_polar_form(self.field, self.algebra.form, X, Y)
+
+    def scale(self, X, s):
+        return self.tables.mul[s[:, None], X]
+
+    def times(self, a, b):
+        return self.tables.mul[a, b]
+
+    def equal(self, A, B):
+        same = A == B
+        return same.all(axis=1) if same.ndim == 2 else same
+
+    def coords_text(self, X, r):
+        return tuple(str(self.tables.elements[c]) for c in X[r])
 
 
 @dataclass

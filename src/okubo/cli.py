@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
-from . import _kernels, idempotents, liealg
-from .errors import BadOption, OkuboError
+from . import idempotents, liealg
+from .errors import BadOption, OkuboError, OutputError
 from .fields import field_from_spec
 from .models import (
     build_char3_model,
@@ -127,16 +128,23 @@ def cmd_twist(args):
 def cmd_export(args):
     field = _field(args)
     algebra = build_split_okubo(field)
-    payload = algebra.to_json(indent=2)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        fh.write("\n")
+    _write_text(args.out, algebra.to_json(indent=2))
     results = {
         "path": args.out,
         "dim": algebra.dim,
         "entries": len(algebra.entries),
     }
     return results, True
+
+
+def _write_text(path, text):
+    """Write text and a final newline to path; a failure is an OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def build_parser():
@@ -192,6 +200,9 @@ def _check_options(args):
         raise BadOption(f"--trials must be at least 1, got {args.trials}")
     if getattr(args, "budget", 1) <= 0:
         raise BadOption(f"--budget must be positive, got {args.budget}")
+    for path in (getattr(args, "out", None), args.json_path):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OutputError(f"cannot write {path}: no such directory")
 
 
 def main(argv=None):
@@ -200,6 +211,9 @@ def main(argv=None):
     try:
         _check_options(args)
         results, passed = args.fn(args)
+        text = _report_text(args, results, passed)
+        if args.json_path:
+            _write_text(args.json_path, text)
     except OkuboError as exc:
         report = {
             "command": args.command,
@@ -207,23 +221,24 @@ def main(argv=None):
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 2
+    print(text)
+    return 0 if passed else 1
+
+
+def _report_text(args, results, passed):
     report = {
         "command": args.command,
         "field": getattr(args, "field", None),
         "seed": getattr(args, "seed", None),
         "trials": getattr(args, "trials", None),
-        "backend": _kernels.backend_name(),
+        # a constant: every finite-field kernel runs on numpy; the key stays
+        # so that the report's layout does not change
+        "backend": "numpy",
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "results": results,
         "passed": passed,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if getattr(args, "json_path", None):
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    return 0 if passed else 1
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,10 @@ class AlgebraMismatch(OkuboError):
     pass
 
 
+class CoordinateCount(OkuboError, ValueError):
+    """A coordinate vector whose length is not the algebra's dimension."""
+
+
 class NoForm(OkuboError):
     pass
 
@@ -87,3 +91,7 @@ class BadFieldSpec(OkuboError):
 
 class BadOption(OkuboError):
     """A command-line option value outside its valid range."""
+
+
+class OutputError(OkuboError):
+    """An output file that cannot be written."""

@@ -522,7 +522,10 @@ class RationalField(Field):
         return str(num) if den == 1 else f"{num}/{den}"
 
     def parse(self, text):
-        return self.from_fraction(Fraction(text.strip()))
+        try:
+            return self.from_fraction(Fraction(text.strip()))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadFieldSpec(f"cannot parse {text!r} as an element of {self}") from exc
 
     def spec_string(self):
         return "q"
@@ -618,6 +621,12 @@ class RationalOmegaField(Field):
         return f"{fa}+{wpart}" if fb > 0 else f"{fa}{wpart}"
 
     def parse(self, text):
+        try:
+            return self._parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadFieldSpec(f"cannot parse {text!r} as an element of q(w)") from exc
+
+    def _parse(self, text):
         t = text.strip().replace(" ", "")
         if "w" not in t:
             return self.from_fractions(Fraction(t), 0)

@@ -1,7 +1,12 @@
+import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from okubo import _kernels
 from okubo.algebra import QuadraticForm, StructureConstantAlgebra
 from okubo.errors import AlgebraMismatch, NoForm
 from okubo.fields import field_from_spec
@@ -9,17 +14,43 @@ from okubo.linalg import Matrix
 from okubo.models import OKUBO_LABELS, build_split_okubo
 
 
-def mutated_okubo(field, which=0):
-    """The split algebra with one nonzero structure constant negated."""
+def mutated_okubo(field, which=0, value=None):
+    """The split algebra with one nonzero structure constant negated, or set
+    to ``value``."""
     base = build_split_okubo(field)
     i, j, k, c = base.entries[which]
+    return with_entry(base, (i, j, k), -c if value is None else value)
+
+
+def with_entry(base, position, value):
+    """A copy of ``base`` with the tensor entry at (i, j, k) set to value."""
+    i, j, k = position
     tensor = [
         [[base.tensor[a][b][d] for d in range(8)] for b in range(8)] for a in range(8)
     ]
-    tensor[i][j][k] = -c
+    tensor[i][j][k] = value
     return StructureConstantAlgebra(
-        field, 8, base.labels, tensor, form=base.form, grading=base.grading
+        base.field, 8, base.labels, tensor, form=base.form, grading=base.grading
     )
+
+
+def okubo_or_bumped(field, which):
+    """The split algebra, or with entry ``which`` raised by one, which changes
+    it in every characteristic (negation does not in characteristic 2)."""
+    if which is None:
+        return build_split_okubo(field)
+    c = build_split_okubo(field).entries[which][3]
+    return mutated_okubo(field, which, value=c + field.one)
+
+
+def object_path_report(algebra, trials, seed):
+    """The composition report computed on elements, even over a finite field."""
+    with mock.patch.object(_kernels, "supports_field", return_value=False):
+        return algebra.check_symmetric_composition(trials=trials, seed=seed)
+
+
+def summary_text(report):
+    return json.dumps(report.summary(), sort_keys=True)
 
 
 class TestMultiply:
@@ -100,6 +131,59 @@ class TestSymmetricComposition:
         assert not report.passed
         xyx = next(c for c in report.checks if c.name == "xyx_identity_random")
         assert not xyx.passed and xyx.failures
+
+    @pytest.mark.parametrize("which", [None, 0, 13])
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(2^2;t^2+t+1)", "gf(7)", "gf(3^2;t^2+1)"])
+    def test_encoded_path_matches_object_path(self, spec, which):
+        # same draws from the same stream, so the random checks (witnesses
+        # included) and the certificates agree byte for byte
+        algebra = okubo_or_bumped(field_from_spec(spec), which)
+        encoded = algebra.check_symmetric_composition(trials=40, seed=3)
+        assert summary_text(encoded) == summary_text(object_path_report(algebra, 40, 3))
+        if which is not None:
+            assert not encoded.passed
+
+    @given(
+        spec=st.sampled_from(["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)", "gf(7)", "gf(3^2;t^2+1)"]),
+        which=st.one_of(st.none(), st.integers(0, 31)),
+        seed=st.integers(0, 10**6),
+        trials=st.integers(1, 60),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_encoded_path_matches_object_path_property(self, spec, which, seed, trials):
+        algebra = okubo_or_bumped(field_from_spec(spec), which)
+        encoded = algebra.check_symmetric_composition(trials=trials, seed=seed)
+        objects = object_path_report(algebra, trials, seed)
+        assert summary_text(encoded) == summary_text(objects)
+
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(5)", "gf(7)", "gf(3^2;t^2+1)", "q(w)"])
+    def test_certificates_pass(self, spec):
+        algebra = build_split_okubo(field_from_spec(spec))
+        report = algebra.check_symmetric_composition(trials=1, seed=0)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["xyx_identity_certificate"].cases == 36 * 8
+        assert by_name["norm_multiplicative_certificate"].cases == 36 * 36
+        assert by_name["xyx_identity_certificate"].passed
+        assert by_name["norm_multiplicative_certificate"].passed
+
+    def test_every_single_entry_gf3_mutant_caught_without_random_checks(self, gf3, okubo_gf3):
+        # each of the 32 nonzero entries set to each of its two other values,
+        # and a one put at 55 zero positions drawn with a fixed seed
+        mutants = [
+            ((i, j, k), v) for i, j, k, c in okubo_gf3.entries for v in gf3.elements() if v != c
+        ]
+        zeros = [
+            (i, j, k) for i in range(8) for j in range(8) for k in range(8)
+            if not okubo_gf3.tensor[i][j][k]
+        ]
+        mutants += [(pos, gf3.one) for pos in random.Random(0).sample(zeros, 55)]
+        assert len(mutants) == 119
+        for position, value in mutants:
+            report = with_entry(okubo_gf3, position, value).check_symmetric_composition(
+                trials=1, seed=0
+            )
+            certificates = [c for c in report.checks if c.name.endswith("_certificate")]
+            assert any(c.failures for c in certificates), (position, value)
 
     def test_exhaustive_triples_counted(self, okubo_gf3):
         report = okubo_gf3.check_symmetric_composition(trials=10, seed=0)

@@ -91,6 +91,22 @@ class TestSubcommands:
         assert code == 2
         assert "NotIdempotent" in report["error"]
 
+    @pytest.mark.parametrize(
+        "field, idempotent, error",
+        [
+            ("gf(3)", "1,1", "CoordinateCount"),
+            ("q", "1/0,0,0,0,0,0,0,0", "BadFieldSpec"),
+            ("q", "abc,0,0,0,0,0,0,0", "BadFieldSpec"),
+            ("q(w)", "1/0+w,0,0,0,0,0,0,0", "BadFieldSpec"),
+        ],
+    )
+    def test_twist_malformed_idempotent(self, capsys, field, idempotent, error):
+        code, report = run_cli(
+            capsys, "twist", "--field", field, "--idempotent", idempotent
+        )
+        assert code == 2
+        assert report["error"].startswith(error)
+
     def test_full_field_budget_checked_before_any_scan(self, capsys, monkeypatch):
         def no_scan(*args, **kwargs):
             raise AssertionError("a scan ran before the budget check")
@@ -138,6 +154,29 @@ class TestExportAndReports:
         assert code == 0
         on_disk = json.loads(path.read_text())
         assert on_disk["results"] == report["results"]
+
+    def test_export_missing_directory_rejected_before_work(self, capsys, tmp_path, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the algebra was built before the path check")
+
+        monkeypatch.setattr("okubo.cli.build_split_okubo", no_build)
+        out = tmp_path / "missing" / "x.json"
+        code, report = run_cli(capsys, "export", "--field", "gf(3)", str(out))
+        assert code == 2
+        assert "OutputError" in report["error"]
+
+    def test_json_missing_directory_rejected(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "y.json"
+        code, report = run_cli(capsys, "verify", "--field", "gf(3)", "--json", str(path))
+        assert code == 2
+        assert "OutputError" in report["error"]
+
+    @pytest.mark.parametrize("command", [["verify", "--json"], ["export"]])
+    def test_write_failure_is_exit_2(self, capsys, tmp_path, command):
+        # the parent directory exists, but the path itself is a directory
+        code, report = run_cli(capsys, command[0], "--field", "gf(3)", *command[1:], str(tmp_path))
+        assert code == 2
+        assert "OutputError" in report["error"]
 
     def test_results_reproducible_for_fixed_seed(self, capsys):
         _, a = run_cli(capsys, "verify", "--field", "gf(3)", "--seed", "5", "--trials", "30")
