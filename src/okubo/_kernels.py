@@ -251,12 +251,16 @@ def decode_census(field, codes, dim):
 
 
 def batch_multiply(field, tensor_entries, X, Y):
-    """Row-wise products Z[r] = X[r] * Y[r] for encoded coordinate batches."""
+    """Row-wise products Z[r] = X[r] * Y[r] for encoded coordinate batches;
+    each column x_i y_j is formed once, for all entries (i, j, k, c)."""
     t = tables_for(field)
     Z = np.zeros_like(X)
+    products = {}
     for i, j, k, c in tensor_entries:
-        cc = field.element_index(c)
-        Z[:, k] = t.add[Z[:, k], t.mul[cc, t.mul[X[:, i], Y[:, j]]]]
+        if (i, j) not in products:
+            products[i, j] = t.mul[X[:, i], Y[:, j]]
+        term = t.mul[field.element_index(c)].take(products[i, j])
+        Z[:, k] = t.add[Z[:, k], term]
     return Z
 
 

@@ -22,6 +22,7 @@ so their reports are identical.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -226,6 +227,16 @@ class StructureConstantAlgebra:
         cols = [self.multiply(self.basis_element(j), x).coords for j in range(self.dim)]
         return Matrix(self.field, list(zip(*cols)))
 
+    def preserves_product(self, phi):
+        """True iff the map with matrix ``phi`` has phi(b_i*b_j) =
+        phi(b_i)*phi(b_j) on all basis pairs, reading b_i*b_j from the tensor."""
+        images = [self.element(phi.col(j)) for j in range(self.dim)]
+        return all(
+            phi.matvec(self.tensor[i][j]) == self.multiply(images[i], images[j]).coords
+            for i in range(self.dim)
+            for j in range(self.dim)
+        )
+
     # -- verification --
 
     def check_grading(self):
@@ -291,12 +302,12 @@ class StructureConstantAlgebra:
 
         # the nonlinear identities, on encoded arrays when the field has
         # lookup tables and on elements otherwise
-        batch = _EncodedBatch(self) if _kernels.supports_field(self.field) else _ObjectBatch(self)
+        batch = identity_batch(self)
         checks.extend(self._composition_certificates(batch))
 
         # randomized element-level trials: a second route, drawn x, y, z in
         # turn from one stream, so both kinds of batch see the same elements
-        X, Y, Z = batch.draw(rng, trials)
+        X, Y, Z = batch.draw(rng, trials, 3)
         XY = batch.multiply(X, Y)
         holds = {
             "norm_multiplicative": batch.norm_multiplicative(X, Y, XY),
@@ -312,34 +323,19 @@ class StructureConstantAlgebra:
         return CompositionReport(seed=seed, trials=trials, checks=checks)
 
     def _composition_certificates(self, batch):
-        """Complete checks of n(x*y) = n(x)n(y) and (x*y)*x = n(x)y = x*(y*x).
-
-        A quadratic map Q vanishes identically iff it vanishes on the points
-        S = {e_i} + {e_i + e_j : i < j}, because Q(e_i) and
-        Q(e_i + e_j) - Q(e_i) - Q(e_j) are its coefficients; this holds in
-        every characteristic.  (x*y)*x - n(x)y and x*(y*x) - n(x)y are
-        quadratic in x and linear in y, so x in S and y in the basis decide
-        them (8 * 36 cases); n(x*y) - n(x)n(y) is quadratic in each
-        variable, so S x S decides it (36 * 36 cases).
-        """
-        basis = self.basis()
-        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
-        points = basis + [basis[i] + basis[j] for i, j in pairs]
-        names = list(self.labels) + [f"{self.labels[i]}+{self.labels[j]}" for i, j in pairs]
-        P, B = batch.rows(points), batch.rows(basis)
+        """Complete checks of n(x*y) = n(x)n(y), quadratic in x and y (36 * 36
+        cases), and (x*y)*x = n(x)y = x*(y*x), quadratic in x and linear in y
+        (36 * 8 cases); see ``_Batch.certificate_cases``."""
         checks = []
-
-        xs, ys = np.divmod(np.arange(len(points) * self.dim), self.dim)
-        X, Y = batch.take(P, xs), batch.take(B, ys)
+        X, Y, label = batch.certificate_cases()
         ok = batch.xyx_identity(X, Y, batch.multiply(X, Y))
-        fails = [(names[xs[r]], self.labels[ys[r]]) for r in np.flatnonzero(~ok)[:3]]
-        checks.append(IdentityCheck("xyx_identity_certificate", len(xs), fails))
+        fails = [label(r) for r in np.flatnonzero(~ok)[:3]]
+        checks.append(IdentityCheck("xyx_identity_certificate", ok.size, fails))
 
-        xs, ys = np.divmod(np.arange(len(points) ** 2), len(points))
-        X, Y = batch.take(P, xs), batch.take(P, ys)
+        X, Y, label = batch.certificate_cases(y_quadratic=True)
         ok = batch.norm_multiplicative(X, Y, batch.multiply(X, Y))
-        fails = [(names[xs[r]], names[ys[r]]) for r in np.flatnonzero(~ok)[:3]]
-        checks.append(IdentityCheck("norm_multiplicative_certificate", len(xs), fails))
+        fails = [label(r) for r in np.flatnonzero(~ok)[:3]]
+        checks.append(IdentityCheck("norm_multiplicative_certificate", ok.size, fails))
         return checks
 
     # -- serialization --
@@ -393,6 +389,13 @@ class StructureConstantAlgebra:
         return f"StructureConstantAlgebra(dim {self.dim} over {self.field})"
 
 
+def identity_batch(algebra):
+    """Encoded arrays when the field has lookup tables, elements otherwise."""
+    if _kernels.supports_field(algebra.field):
+        return _EncodedBatch(algebra)
+    return _ObjectBatch(algebra)
+
+
 class _Batch:
     """Row-wise identity arithmetic on a batch of elements of one algebra.
 
@@ -402,6 +405,27 @@ class _Batch:
 
     def __init__(self, algebra):
         self.algebra = algebra
+
+    @functools.cached_property
+    def _certificate_points(self):
+        """S = {e_i} + {e_i + e_j : i < j} as rows, basis first, and names."""
+        alg = self.algebra
+        basis = alg.basis()
+        pairs = [(i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+        points = basis + [basis[i] + basis[j] for i, j in pairs]
+        names = list(alg.labels) + [f"{alg.labels[i]}+{alg.labels[j]}" for i, j in pairs]
+        return self.rows(points), names
+
+    def certificate_cases(self, y_quadratic=False):
+        """Rows X, Y and ``label(r)``, the names of row r's x and y: x runs
+        over S, y over the basis (over S if quadratic in y).  A quadratic map
+        Q vanishes iff it vanishes on S, since Q(e_i) and Q(e_i + e_j) -
+        Q(e_i) - Q(e_j) are its coefficients, in every characteristic.
+        """
+        P, names = self._certificate_points
+        ny = len(names) if y_quadratic else self.algebra.dim
+        xs, ys = np.divmod(np.arange(len(names) * ny), ny)
+        return self.take(P, xs), self.take(P, ys), lambda r: (names[xs[r]], names[ys[r]])
 
     def norm_multiplicative(self, X, Y, XY):
         """n(x*y) = n(x)n(y) on each row, given XY = X*Y."""
@@ -413,6 +437,12 @@ class _Batch:
         left = self.equal(self.multiply(XY, X), nxy)
         return left & self.equal(self.multiply(X, self.multiply(Y, X)), nxy)
 
+    def alternative_laws(self, X, Y):
+        """x*(x*y) = (x*x)*y and (y*x)*x = y*(x*x) on each row."""
+        XX = self.multiply(X, X)
+        left = self.equal(self.multiply(X, self.multiply(X, Y)), self.multiply(XX, Y))
+        return left & self.equal(self.multiply(self.multiply(Y, X), X), self.multiply(Y, XX))
+
 
 class _ObjectBatch(_Batch):
     """Lists of AlgebraElements and Scalars: exact arithmetic over any field."""
@@ -423,10 +453,10 @@ class _ObjectBatch(_Batch):
     def take(self, batch, index):
         return [batch[i] for i in index]
 
-    def draw(self, rng, count):
+    def draw(self, rng, count, arity):
         rand = self.algebra.random_element
-        xyz = [(rand(rng), rand(rng), rand(rng)) for _ in range(count)]
-        return tuple([t[n] for t in xyz] for n in range(3))
+        draws = [[rand(rng) for _ in range(arity)] for _ in range(count)]
+        return tuple([t[n] for t in draws] for n in range(arity))
 
     def multiply(self, X, Y):
         return [self.algebra.multiply(x, y) for x, y in zip(X, Y)]
@@ -465,13 +495,13 @@ class _EncodedBatch(_Batch):
     def take(self, batch, index):
         return batch[index]
 
-    def draw(self, rng, count):
+    def draw(self, rng, count, arity):
         # a finite field's random_scalar is one randrange(q) whose value is
         # the encoded element, so these are the elements _ObjectBatch draws
         dim = self.algebra.dim
-        xyz = _kernels.random_coord_batch(self.field, rng, 3 * count, dim)
-        xyz = xyz.reshape(count, 3, dim)
-        return xyz[:, 0], xyz[:, 1], xyz[:, 2]
+        draws = _kernels.random_coord_batch(self.field, rng, arity * count, dim)
+        draws = draws.reshape(count, arity, dim)
+        return tuple(draws[:, n] for n in range(arity))
 
     def multiply(self, X, Y):
         return _kernels.batch_multiply(self.field, self.algebra.entries, X, Y)

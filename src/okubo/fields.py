@@ -23,6 +23,7 @@ import math
 import re
 from fractions import Fraction
 
+from . import polys
 from .errors import (
     BadFieldSpec,
     DivisionByZero,
@@ -308,7 +309,8 @@ class ExtensionField(Field):
         # normalize to monic
         lead_inv = pow(modulus[-1], -1, p)
         self.modulus = tuple(c * lead_inv % p for c in modulus)
-        if not self._modulus_irreducible():
+        prime = GF(p)
+        if not polys.is_irreducible([prime.from_int(c) for c in self.modulus], prime):
             raise ReducibleModulus(
                 f"{self._poly_str(self.modulus)} is reducible over gf({p})"
             )
@@ -319,7 +321,8 @@ class ExtensionField(Field):
         one[0] = 1
         self._one = Scalar(self, tuple(one))
 
-    # -- integer-coefficient polynomial helpers (mod p, dense lists) --
+    # -- multiplication of residue lists mod (p, modulus); the modulus is
+    # checked irreducible by the shared polys.is_irreducible --
 
     def _pmul(self, a, b):
         p = self.p
@@ -343,44 +346,6 @@ class ExtensionField(Field):
         a = a[: len(m) - 1]
         a += [0] * (len(m) - 1 - len(a))
         return tuple(a)
-
-    def _peval(self, poly, x):
-        p = self.p
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        return acc
-
-    def _pdivides(self, d, a):
-        # does monic d divide a over GF(p)?
-        p = self.p
-        a = [c % p for c in a]
-        while len(a) >= len(d) and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) < len(d):
-                break
-            c = a[-1]
-            shift = len(a) - len(d)
-            for i, di in enumerate(d):
-                a[shift + i] = (a[shift + i] - c * di) % p
-        return not any(a)
-
-    def _modulus_irreducible(self):
-        p, m = self.p, self.modulus
-        for x in range(p):
-            if self._peval(m, x) == 0:
-                return False
-        if self.degree == 4:
-            # no roots rules out linear factors only; check irreducible quadratics
-            for b in range(p):
-                for c in range(p):
-                    quad = (c, b, 1)
-                    if any(self._peval(quad, x) == 0 for x in range(p)):
-                        continue
-                    if self._pdivides(quad, m):
-                        return False
-        return True
 
     # -- field arithmetic on tuple reps --
 

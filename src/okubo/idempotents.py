@@ -5,9 +5,14 @@ A nonzero idempotent f of a symmetric composition algebra has n(f) = 1 and
 induces
 
 * an order-3 automorphism tau(x) = f*(f*x) whose fixed space is the
-  centralizer of f, and
+  centralizer of f; since tau = L_f^2, tau^3 = L_f^6, so one check of
+  tau^3 = I also checks L_f^6 = I, and
 * a unital composition algebra (the twist) with product x.y = (f*x)*(y*f)
-  and unit f.
+  and unit f, whose alternative laws are proved by a complete certificate
+  and sampled by random trials on the same batch layer as ``verify``.
+
+Each idempotent is verified in one pass: ``tau_map``, ``classify_idempotent``
+and ``nonclassified_report`` share one check of the whole tau contract.
 
 In characteristic 3 the pair (dim of the centralizer, rank of the norm on
 it) takes exactly three values, giving the quaternionic / quadratic /
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
-from .algebra import StructureConstantAlgebra
+from .algebra import StructureConstantAlgebra, identity_batch
 from .errors import (
     BadCharacteristic,
     BudgetExceeded,
@@ -130,8 +135,11 @@ def find_idempotents_slice_search(algebra, count, seed=0, free=3, max_slices=200
 
 def centralizer(algebra, f):
     """Solution space of x*f = f*x."""
-    diff = algebra.right_mult_matrix(f) - algebra.left_mult_matrix(f)
-    return nullspace(diff)
+    return _centralizer(algebra, f, algebra.left_mult_matrix(f))
+
+
+def _centralizer(algebra, f, lf):
+    return nullspace(algebra.right_mult_matrix(f) - lf)
 
 
 def fixed_space(matrix):
@@ -139,35 +147,35 @@ def fixed_space(matrix):
     return nullspace(matrix - Matrix.identity(matrix.field, matrix.nrows))
 
 
-def tau_map(algebra, f):
-    """The map x -> f*(f*x) for an idempotent f, with its contract verified:
-    order 3, not the identity, an automorphism of the product, fixing f, and
-    fixed space equal to the centralizer of f.
-    """
+def _verified_tau(algebra, f):
+    """(tau, centralizer of f) for an idempotent f, with the whole contract
+    checked: tau^3 = L_f^6 = I, tau != I, tau f = f, tau is an automorphism
+    on all basis pairs, and fix(tau) equals the centralizer."""
     _require_idempotent(algebra, f)
-    field = algebra.field
     lf = algebra.left_mult_matrix(f)
     tau = lf @ lf
-    ident = Matrix.identity(field, algebra.dim)
-    tau3 = tau @ tau @ tau
-    if tau3 != ident:
-        raise AssertionError("tau^3 is not the identity")
+    ident = Matrix.identity(algebra.field, algebra.dim)
+    if tau @ tau @ tau != ident:
+        raise AssertionError("tau^3 = L_f^6 is not the identity")
     if tau == ident:
         raise AssertionError("tau is the identity; f would be in the commutative center")
-    if (lf @ lf @ lf) @ (lf @ lf @ lf) != ident:
-        raise AssertionError("sixth power of left multiplication is not the identity")
-    if algebra.element(tau.matvec(f.coords)) != f:
+    if tau.matvec(f.coords) != f.coords:
         raise AssertionError("tau does not fix f")
-    basis = algebra.basis()
-    images = [algebra.element(tau.col(j)) for j in range(algebra.dim)]
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            lhs = algebra.element(tau.matvec(algebra.multiply(basis[i], basis[j]).coords))
-            if lhs != algebra.multiply(images[i], images[j]):
-                raise AssertionError("tau is not an automorphism of the product")
-    if fixed_space(tau) != centralizer(algebra, f):
+    if not algebra.preserves_product(tau):
+        raise AssertionError("tau is not an automorphism of the product")
+    cent = _centralizer(algebra, f, lf)
+    if fixed_space(tau) != cent:
         raise AssertionError("fixed space of tau differs from the centralizer")
-    return tau
+    return tau, cent
+
+
+def tau_map(algebra, f):
+    """The map x -> f*(f*x) for an idempotent f, with its contract verified:
+    order 3, not the identity, fixing f, an automorphism of the product, and
+    fixed space equal to the centralizer of f.  Since tau = L_f^2, tau^3 is
+    L_f^6, so the order-3 check also checks L_f^6 = I.
+    """
+    return _verified_tau(algebra, f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +189,11 @@ def petersson_twist(algebra, f):
     Keeps the norm of the input algebra; f is verified to be a two-sided
     unit of the result.
     """
+    return _twist(algebra, f)[0]
+
+
+def _twist(algebra, f):
+    """(twisted, [f*b_j], [b_j*f]): the twist and the products it is built from."""
     _require_idempotent(algebra, f)
     field = algebra.field
     dim = algebra.dim
@@ -201,7 +214,7 @@ def petersson_twist(algebra, f):
         bj = twisted.basis_element(j)
         if twisted.multiply(ft, bj) != bj or twisted.multiply(bj, ft) != bj:
             raise AssertionError("twist unit is not two-sided")
-    return twisted
+    return twisted, left, right
 
 
 @dataclass
@@ -213,6 +226,7 @@ class TwistReport:
     recovery_ok: bool
     alternative_trials: int
     alternative_ok: bool
+    alternative_certificate_ok: bool
     seed: int
 
     @property
@@ -222,6 +236,7 @@ class TwistReport:
             and self.norm_multiplicative_basis_ok
             and self.recovery_ok
             and self.alternative_ok
+            and self.alternative_certificate_ok
         )
 
     def summary(self):
@@ -233,62 +248,46 @@ class TwistReport:
             "recovery_ok": self.recovery_ok,
             "alternative_trials": self.alternative_trials,
             "alternative_ok": self.alternative_ok,
+            "alternative_certificate_ok": self.alternative_certificate_ok,
             "seed": self.seed,
             "passed": self.passed,
         }
 
 
-def _alternative_laws_hold(twisted, trials, seed):
-    """x.(x.y) = (x.x).y and (y.x).x = y.(x.x) on random pairs."""
-    field = twisted.field
-    if _kernels.supports_field(field):
-        rng = random.Random(seed)
-        X = _kernels.random_coord_batch(field, rng, trials, twisted.dim)
-        Y = _kernels.random_coord_batch(field, rng, trials, twisted.dim)
-        mul = lambda a, b: _kernels.batch_multiply(field, twisted.entries, a, b)
-        xx = mul(X, X)
-        left_ok = _kernels.batch_equal(mul(X, mul(X, Y)), mul(xx, Y))
-        right_ok = _kernels.batch_equal(mul(mul(Y, X), X), mul(Y, xx))
-        return left_ok and right_ok
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = twisted.random_element(rng)
-        y = twisted.random_element(rng)
-        xx = twisted.multiply(x, x)
-        if twisted.multiply(x, twisted.multiply(x, y)) != twisted.multiply(xx, y):
-            return False
-        if twisted.multiply(twisted.multiply(y, x), x) != twisted.multiply(y, xx):
-            return False
-    return True
+def _alternative_laws(twisted, trials, seed):
+    """(certificate_ok, trials_ok) for x.(x.y) = (x.x).y and (y.x).x = y.(x.x),
+    which are quadratic in x and linear in y: 288 certificate cases, then the
+    random pairs, drawn x, y in turn, as a second route."""
+    batch = identity_batch(twisted)
+    certificate_ok = bool(batch.alternative_laws(*batch.certificate_cases()[:2]).all())
+    X, Y = batch.draw(random.Random(seed), trials, 2)
+    return certificate_ok, bool(batch.alternative_laws(X, Y).all())
 
 
 def twist_report(algebra, f, trials=500, seed=0):
     """Full verification that the twist at f is a unital composition algebra:
-    two-sided unit, multiplicative norm on all basis pairs, alternative laws
-    on random pairs, and the recovery identity x*y = (x*f).(f*y).
+    two-sided unit, multiplicative norm on all basis pairs, the alternative
+    laws by a complete certificate and on random pairs, and the recovery
+    identity x*y = (x*f).(f*y).  Basis products of either algebra are read
+    from its tensor.
     """
-    twisted = petersson_twist(algebra, f)
-    basis = twisted.basis()
-    norm_ok = True
-    for i in range(twisted.dim):
-        ni = twisted.norm(basis[i])
-        for j in range(twisted.dim):
-            prod = twisted.multiply(basis[i], basis[j])
-            if twisted.norm(prod) != ni * twisted.norm(basis[j]):
-                norm_ok = False
-    recovery_ok = True
-    a_basis = algebra.basis()
-    for i in range(algebra.dim):
-        xf = algebra.multiply(a_basis[i], f)
-        for j in range(algebra.dim):
-            fy = algebra.multiply(f, a_basis[j])
-            via_twist = twisted.multiply(
-                twisted.element(xf.coords), twisted.element(fy.coords)
-            )
-            direct = algebra.multiply(a_basis[i], a_basis[j])
-            if via_twist.coords != direct.coords:
-                recovery_ok = False
-    alt_ok = _alternative_laws_hold(twisted, trials, seed)
+    twisted, left, right = _twist(algebra, f)
+    dim = algebra.dim
+    values = twisted.form.values
+    norm_ok = all(
+        twisted.form.evaluate(twisted.tensor[i][j]) == values[i] * values[j]
+        for i in range(dim)
+        for j in range(dim)
+    )
+    # b_i*f and f*b_j as elements of the twist
+    xf = [twisted.element(x.coords) for x in right]
+    fy = [twisted.element(y.coords) for y in left]
+    recovery_ok = all(
+        twisted.multiply(xf[i], fy[j]).coords == algebra.tensor[i][j]
+        for i in range(dim)
+        for j in range(dim)
+    )
+    certificate_ok, alt_ok = _alternative_laws(twisted, trials, seed)
     return TwistReport(
         field_spec=algebra.field.spec_string(),
         idempotent=[str(c) for c in f.coords],
@@ -297,6 +296,7 @@ def twist_report(algebra, f, trials=500, seed=0):
         recovery_ok=recovery_ok,
         alternative_trials=trials,
         alternative_ok=alt_ok,
+        alternative_certificate_ok=certificate_ok,
         seed=seed,
     )
 
@@ -453,6 +453,28 @@ class IdempotentReport:
         return out
 
 
+def _idempotent_report(algebra, f, tag_of):
+    """The report of an idempotent from one verified tau/centralizer pass;
+    ``tag_of(f, centralizer_dim, norm_rank)`` gives its type tag."""
+    _, cent = _verified_tau(algebra, f)
+    rank = norm_rank_on(cent, algebra)
+    return IdempotentReport(
+        element=f,
+        norm_value=algebra.norm(f),
+        centralizer_dim=cent.dim,
+        tau_fixed_dim=cent.dim,  # fix(tau) was checked equal to the centralizer
+        norm_rank=rank,
+        type_tag=tag_of(f, cent.dim, rank),
+    )
+
+
+def _signature_tag(f, centralizer_dim, rank):
+    tag = _CLASS_BY_SIGNATURE.get((centralizer_dim, rank))
+    if tag is None:
+        raise ClassificationAnomaly([str(c) for c in f.coords], centralizer_dim, rank)
+    return tag
+
+
 def classify_idempotent(algebra, f):
     """Assign the characteristic-3 type from (centralizer dim, norm rank).
 
@@ -460,44 +482,15 @@ def classify_idempotent(algebra, f):
     """
     if algebra.field.characteristic != 3:
         raise BadCharacteristic("the idempotent taxonomy is characteristic 3 only")
-    _require_idempotent(algebra, f)
-    cent = centralizer(algebra, f)
-    tau = tau_map(algebra, f)
-    tfix = fixed_space(tau)
-    if tfix != cent:
-        raise AssertionError("tau-fixed space differs from the centralizer")
-    rank = norm_rank_on(cent, algebra)
-    tag = _CLASS_BY_SIGNATURE.get((cent.dim, rank))
-    if tag is None:
-        raise ClassificationAnomaly([str(c) for c in f.coords], cent.dim, rank)
-    return IdempotentReport(
-        element=f,
-        norm_value=algebra.norm(f),
-        centralizer_dim=cent.dim,
-        tau_fixed_dim=tfix.dim,
-        norm_rank=rank,
-        type_tag=tag,
-    )
+    return _idempotent_report(algebra, f, _signature_tag)
 
 
 def nonclassified_report(algebra, f, model=None):
     """The characteristic != 3 report: tagged, with the minimal-polynomial degree."""
-    _require_idempotent(algebra, f)
-    cent = centralizer(algebra, f)
-    tau = tau_map(algebra, f)
-    tfix = fixed_space(tau)
-    deg = None
+    report = _idempotent_report(algebra, f, lambda *_: NONCLASSIFIED)
     if model is not None:
-        deg = minpoly_check_char_not3(model, model.algebra.element(f.coords))
-    return IdempotentReport(
-        element=f,
-        norm_value=algebra.norm(f),
-        centralizer_dim=cent.dim,
-        tau_fixed_dim=tfix.dim,
-        norm_rank=norm_rank_on(cent, algebra),
-        type_tag=NONCLASSIFIED,
-        minpoly_degree=deg,
-    )
+        report.minpoly_degree = minpoly_check_char_not3(model, model.algebra.element(f.coords))
+    return report
 
 
 def minpoly_check_char_not3(model, f):

@@ -3,9 +3,9 @@
 Coefficient lists are constant-first with no trailing zeros; [] is the zero
 polynomial.  Only what the irreducibility and factorization routines need:
 factoring degree <= 8 polynomials over small finite fields by trial division
-with low-degree irreducibles.  A polynomial of degree <= 9 with no irreducible
-factor of degree <= 4 is itself irreducible, so trial division is complete
-at this scale.
+with low-degree irreducibles, and checking the modulus of every GF(p^k).  A
+polynomial of degree <= 9 with no irreducible factor of degree <= 4 is itself
+irreducible, so trial division is complete at this scale.
 """
 
 from __future__ import annotations

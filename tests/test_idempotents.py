@@ -1,10 +1,11 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from okubo import _kernels
-from okubo.algebra import StructureConstantAlgebra
+from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _ObjectBatch
 from okubo.errors import (
     BadCharacteristic,
     BudgetExceeded,
@@ -16,6 +17,7 @@ from okubo.idempotents import (
     QUADRATIC,
     QUATERNIONIC,
     SINGULAR,
+    _alternative_laws,
     census_summary,
     centralizer,
     classify_idempotent,
@@ -112,6 +114,47 @@ class TestTau:
             tau_map(okubo_gf3, okubo_gf3.basis_element(0))
 
 
+def small_algebra(field, dim, products):
+    """An algebra on e = b_0, u = b_1, ... with the given basis products
+    {(i, j): coordinates of b_i*b_j}; every other product is 0."""
+    zero = [field.zero] * dim
+    tensor = [
+        [[field.scalar(c) for c in products.get((i, j), zero)] for j in range(dim)]
+        for i in range(dim)
+    ]
+    return StructureConstantAlgebra(field, dim, [f"b{i}" for i in range(dim)], tensor)
+
+
+class TestTauContract:
+    """Each algebra breaks one clause of the tau contract at the idempotent
+    e = b_0.  The clause tau f = f cannot break: f*(f*f) = f*f = f for every
+    idempotent f, so no algebra here violates it alone."""
+
+    @pytest.mark.parametrize(
+        "p, dim, products, message",
+        [
+            # L_e = (1): tau = I
+            (3, 1, {(0, 0): [1]}, "tau is the identity"),
+            # L_e = diag(1, 2) over gf(5): tau^3 = diag(1, 4)
+            (5, 2, {(0, 0): [1, 0], (0, 1): [0, 2]}, "tau\\^3 = L_f\\^6"),
+            # L_e = diag(1, 3) over gf(7): tau = diag(1, 2) has order 3 but
+            # tau(u*u) = 2u while tau(u)*tau(u) = 4u
+            (7, 2, {(0, 0): [1, 0], (0, 1): [0, 3], (1, 1): [0, 1]}, "automorphism"),
+            # e*u = u*e = 3u: tau = diag(1, 2) is an automorphism fixing only
+            # the line of e, while u commutes with e
+            (7, 2, {(0, 0): [1, 0], (0, 1): [0, 3], (1, 0): [0, 3]}, "centralizer"),
+        ],
+    )
+    def test_each_clause_raises(self, p, dim, products, message):
+        algebra = small_algebra(GF(p), dim, products)
+        e = algebra.basis_element(0)
+        with pytest.raises(AssertionError, match=message):
+            tau_map(algebra, e)
+        # the classifier runs the same contract check
+        with pytest.raises(AssertionError, match=message):
+            (classify_idempotent if p == 3 else nonclassified_report)(algebra, e)
+
+
 class TestCentralizer:
     def test_dim_of_e(self, okubo_gf3):
         e = distinguished_idempotent(okubo_gf3)
@@ -188,6 +231,62 @@ class TestTwist:
         with pytest.raises(NotIdempotent):
             petersson_twist(okubo_gf3, okubo_gf3.basis_element(0))
 
+    def test_report_carries_certificate(self, okubo_gf3):
+        e = distinguished_idempotent(okubo_gf3)
+        report = twist_report(okubo_gf3, e, trials=20, seed=0)
+        assert report.summary()["alternative_certificate_ok"] is True
+        report.alternative_certificate_ok = False
+        assert not report.passed and report.summary()["passed"] is False
+
+
+def twist_mutant(twisted):
+    """The twist with its first nonzero structure constant negated."""
+    tensor = [[list(row) for row in plane] for plane in twisted.tensor]
+    i, j, k, c = twisted.entries[0]
+    tensor[i][j][k] = -c
+    return StructureConstantAlgebra(
+        twisted.field, twisted.dim, twisted.labels, tensor, form=twisted.form
+    )
+
+
+class TestTwistAlternativeLaws:
+    @pytest.fixture(scope="class")
+    def twists(self, okubo_gf3):
+        twisted = petersson_twist(okubo_gf3, distinguished_idempotent(okubo_gf3))
+        return {"twist": twisted, "mutant": twist_mutant(twisted)}
+
+    @pytest.mark.parametrize("which", ["twist", "mutant"])
+    def test_batches_agree_per_trial(self, twists, which):
+        twisted = twists[which]
+        encoded, objects = _EncodedBatch(twisted), _ObjectBatch(twisted)
+        X, Y = encoded.draw(random.Random(5), 60, 2)
+        U, V = objects.draw(random.Random(5), 60, 2)
+        assert _kernels.decode_rows(twisted.field, X) == [u.coords for u in U]
+        assert _kernels.decode_rows(twisted.field, Y) == [v.coords for v in V]
+        verdicts = encoded.alternative_laws(X, Y)
+        assert np.array_equal(verdicts, objects.alternative_laws(U, V))
+        if which == "twist":
+            assert verdicts.all()
+        else:
+            assert 0 < verdicts.sum() < len(verdicts)
+
+    @pytest.mark.parametrize("which", ["twist", "mutant"])
+    def test_certificate_cases_agree_per_case(self, twists, which):
+        twisted = twists[which]
+        encoded, objects = _EncodedBatch(twisted), _ObjectBatch(twisted)
+        X, Y, label = encoded.certificate_cases()
+        U, V, same_label = objects.certificate_cases()
+        assert len(X) == len(U) == 36 * 8
+        assert [label(r) for r in range(len(X))] == [same_label(r) for r in range(len(U))]
+        assert np.array_equal(encoded.alternative_laws(X, Y), objects.alternative_laws(U, V))
+
+    def test_certificate_catches_mutant(self, twists):
+        assert _alternative_laws(twists["twist"], 1, 0) == (True, True)
+        certificate_ok, _ = _alternative_laws(twists["mutant"], 1, 0)
+        assert certificate_ok is False
+        with mock.patch.object(_kernels, "supports_field", return_value=False):
+            assert _alternative_laws(twists["mutant"], 1, 0)[0] is False
+
 
 class TestParaHurwitz:
     def test_unit_in_commutative_center(self, okubo_gf3):
@@ -246,6 +345,46 @@ class TestClassification:
         assert rep.type_tag == "nonclassified-char-not-3"
         assert rep.minpoly_degree == 2
         assert rep.norm_value == gf7.one
+
+
+GF3_SIGNATURES = {(6, 4): QUATERNIONIC, (4, 2): QUADRATIC, (4, 1): SINGULAR}
+
+
+def reference_summary(algebra, f, type_tag):
+    """An idempotent report assembled from the public building blocks."""
+    cent = centralizer(algebra, f)
+    rank = norm_rank_on(cent, algebra)
+    return {
+        "element": [str(c) for c in f.coords],
+        "norm": str(algebra.norm(f)),
+        "centralizer_dim": cent.dim,
+        "tau_fixed_dim": fixed_space(tau_map(algebra, f)).dim,
+        "norm_rank": rank,
+        "type": type_tag(cent.dim, rank),
+    }
+
+
+def test_classify_matches_public_reference(okubo_gf3, census_gf3):
+    by_type = {QUATERNIONIC: 0, QUADRATIC: 0, SINGULAR: 0}
+    for f in census_gf3:
+        summary = classify_idempotent(okubo_gf3, f).summary()
+        assert summary == reference_summary(
+            okubo_gf3, f, lambda dim, rank: GF3_SIGNATURES[(dim, rank)]
+        )
+        by_type[summary["type"]] += 1
+    assert by_type == GF3_BY_TYPE
+
+
+def test_nonclassified_report_matches_public_reference(okubo_gf7, sl3_gf7):
+    sample = find_idempotents_slice_search(okubo_gf7, 6, seed=11)
+    assert len(sample) == 6
+    for f in sample:
+        summary = nonclassified_report(okubo_gf7, f, model=sl3_gf7).summary()
+        expected = reference_summary(okubo_gf7, f, lambda *_: "nonclassified-char-not-3")
+        expected["minpoly_degree"] = minpoly_check_char_not3(
+            sl3_gf7, sl3_gf7.algebra.element(f.coords)
+        )
+        assert summary == expected
 
 
 class TestCensusSummary:
