@@ -81,10 +81,6 @@ def decode_rows(field, arr):
     return [tuple(els[c] for c in row) for row in arr.tolist()]
 
 
-def encode_coords(field, coords):
-    return np.array([field.element_index(s) for s in coords], dtype=np.int64)
-
-
 def decode_coords(field, arr):
     els = tables_for(field).elements
     return tuple(els[int(c)] for c in arr)
@@ -334,10 +330,6 @@ def batch_minpoly_degrees(field, M):
             parallel &= t.mul[a[:, p], b[:, r]] == t.mul[a[:, r], b[:, p]]
     scalar = (a == 0).all(axis=1)
     return np.where(scalar, 1, np.where(parallel, 2, 3))
-
-
-def batch_equal(X, Y):
-    return bool((X == Y).all())
 
 
 def random_coord_batch(field, rng, count, dim):

@@ -7,6 +7,14 @@ polar bilinear matrix, so every characteristic, including 2, is representable:
 
     q(sum a_i b_i) = sum a_i^2 q(b_i) + sum_{i<j} a_i a_j B[i][j]
 
+Every map made from the product is one contraction of the sparse tensor:
+the multiplication matrices L_x and R_x (x contracted into the first or the
+second slot), and ``product_tensor(phi, psi)``, the tensor of the pulled-back
+product x.y = phi(x)*psi(y).  Basis products b_i*b_j are tensor rows.  So
+automorphism and derivation checks, twists and commutative centers are built
+without element products; ``multiply`` is the element path they are tested
+against.
+
 The symmetric-composition checker proves the three defining identities.
 Polar associativity n(x*y, z) = n(x, y*z) is trilinear, so the 512 basis
 triples prove it.  The nonlinear identities n(x*y) = n(x)n(y) and
@@ -217,22 +225,50 @@ class StructureConstantAlgebra:
             raise NoForm("algebra carries no quadratic form")
         return self.form.polar_eval(x.coords, y.coords)
 
+    # -- the contraction layer: every map built from the product --
+
     def left_mult_matrix(self, x):
-        """Matrix of y -> x*y in the basis."""
-        cols = [self.multiply(x, self.basis_element(j)).coords for j in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)))
+        """Matrix of y -> x*y: M[k][j] = sum_i x_i c_ijk."""
+        return self._mult_matrix(x, left=True)
 
     def right_mult_matrix(self, x):
-        """Matrix of y -> y*x in the basis."""
-        cols = [self.multiply(self.basis_element(j), x).coords for j in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)))
+        """Matrix of y -> y*x: M[k][i] = sum_j x_j c_ijk."""
+        return self._mult_matrix(x, left=False)
+
+    def _mult_matrix(self, x, left):
+        if x.algebra is not self:
+            raise AlgebraMismatch("element belongs to a different algebra")
+        xc = x.coords
+        rows = [[self.field.zero] * self.dim for _ in range(self.dim)]
+        for i, j, k, c in self.entries:
+            a, col = (xc[i], j) if left else (xc[j], i)
+            if a:
+                rows[k][col] = rows[k][col] + a * c
+        return Matrix(self.field, rows)
+
+    def product_tensor(self, phi, psi):
+        """Structure tensor of x.y = phi(x)*psi(y): T[i][j] = phi(b_i)*psi(b_j),
+        that is, T[i][j][k] = sum_ab phi[a][i] psi[b][j] c_abk."""
+        dim = self.dim
+        zero = self.field.zero
+        out = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        phi_rows = [[(i, v) for i, v in enumerate(row) if v] for row in phi.rows]
+        psi_rows = [[(j, v) for j, v in enumerate(row) if v] for row in psi.rows]
+        for a, b, k, c in self.entries:
+            for i, u in phi_rows[a]:
+                uc = u * c
+                row = out[i]
+                for j, v in psi_rows[b]:
+                    row[j][k] = row[j][k] + uc * v
+        return tuple(tuple(map(tuple, row)) for row in out)
 
     def preserves_product(self, phi):
         """True iff the map with matrix ``phi`` has phi(b_i*b_j) =
-        phi(b_i)*phi(b_j) on all basis pairs, reading b_i*b_j from the tensor."""
-        images = [self.element(phi.col(j)) for j in range(self.dim)]
+        phi(b_i)*phi(b_j) on all basis pairs: phi applied to the tensor rows
+        equals ``product_tensor(phi, phi)``."""
+        pulled = self.product_tensor(phi, phi)
         return all(
-            phi.matvec(self.tensor[i][j]) == self.multiply(images[i], images[j]).coords
+            phi.matvec(self.tensor[i][j]) == pulled[i][j]
             for i in range(self.dim)
             for j in range(self.dim)
         )
@@ -250,14 +286,14 @@ class StructureConstantAlgebra:
         return True
 
     def commutative_center(self):
-        """Solution space of u*b_j = b_j*u for all j, as a Subspace."""
-        rows = []
-        for j in range(self.dim):
-            bj = self.basis_element(j)
-            lm = self.left_mult_matrix(bj)  # u -> b_j * u
-            rm = self.right_mult_matrix(bj)  # u -> u * b_j
-            diff = rm - lm
-            rows.extend(diff.rows)
+        """Solution space of u*b_j = b_j*u for all j, as a Subspace: the
+        nullspace of the rows c_ijk - c_jik (row (j, k), column i)."""
+        t, dim = self.tensor, self.dim
+        rows = [
+            [t[i][j][k] - t[j][i][k] for i in range(dim)]
+            for j in range(dim)
+            for k in range(dim)
+        ]
         return nullspace(Matrix(self.field, rows))
 
     def check_symmetric_composition(self, trials=200, seed=0):
@@ -268,7 +304,8 @@ class StructureConstantAlgebra:
             raise NoForm("symmetric composition needs a quadratic form")
         rng = random.Random(seed)
         basis = self.basis()
-        products = [[self.multiply(a, b) for b in basis] for a in basis]
+        products = [[self.element(self.tensor[i][j]) for j in range(self.dim)]
+                    for i in range(self.dim)]
         checks = []
 
         # polar associativity n(x*y, z) = n(x, y*z): trilinear, so basis

@@ -13,7 +13,9 @@ Subcommands:
 
 Every run emits one JSON report on stdout with the command, field, seed and
 timestamp; rerunning with the same command and seed reproduces the
-``results`` object byte for byte.  Exit code 0 means every check passed.
+``results`` object byte for byte.  Exit code 0 means every check passed,
+1 that a check failed, and 2 that the request was invalid, including a
+command line the parser rejects; an exit-2 report carries a JSON ``error``.
 """
 
 from __future__ import annotations
@@ -147,8 +149,17 @@ def _write_text(path, text):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are BadOption, so that a malformed
+    command line gets a JSON error like any other invalid request."""
+
+    def error(self, message):
+        # a subcommand's parser is named "okubo <command>"
+        raise BadOption(f"{self.prog}: {message}", command=self.prog.partition(" ")[2] or None)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="okubo",
         description="exact verification suite for the split Okubo algebra",
     )
@@ -206,9 +217,11 @@ def _check_options(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise BadOption(f"okubo {args.command}: unrecognized arguments: {' '.join(extra)}")
         _check_options(args)
         results, passed = args.fn(args)
         text = _report_text(args, results, passed)
@@ -216,7 +229,8 @@ def main(argv=None):
             _write_text(args.json_path, text)
     except OkuboError as exc:
         report = {
-            "command": args.command,
+            # only the parser raises before args exist
+            "command": args.command if args is not None else exc.command,
             "error": f"{type(exc).__name__}: {exc}",
         }
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -90,7 +90,12 @@ class BadFieldSpec(OkuboError):
 
 
 class BadOption(OkuboError):
-    """A command-line option value outside its valid range."""
+    """A command-line option value outside its valid range, or a command line
+    the parser rejects; ``command`` is the subcommand, when it is known."""
+
+    def __init__(self, message, command=None):
+        super().__init__(message)
+        self.command = command
 
 
 class OutputError(OkuboError):

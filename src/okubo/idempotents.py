@@ -8,8 +8,12 @@ induces
   centralizer of f; since tau = L_f^2, tau^3 = L_f^6, so one check of
   tau^3 = I also checks L_f^6 = I, and
 * a unital composition algebra (the twist) with product x.y = (f*x)*(y*f)
-  and unit f, whose alternative laws are proved by a complete certificate
-  and sampled by random trials on the same batch layer as ``verify``.
+  and unit f, whose tensor is ``product_tensor(L_f, R_f)``; the product is
+  recovered as ``product_tensor(R_f, L_f)`` of the twist, and its
+  alternative laws are proved by a complete certificate and sampled by
+  random trials on the same batch layer as ``verify``.  The para-Hurwitz
+  algebra of a unital algebra is ``product_tensor(C, C)`` with C the
+  conjugation.
 
 Each idempotent is verified in one pass: ``tau_map``, ``classify_idempotent``
 and ``nonclassified_report`` share one check of the whole tau contract.
@@ -41,7 +45,7 @@ from .errors import (
     NotIdempotent,
 )
 from .fields import cube_root_of_unity
-from .linalg import Matrix, Subspace, nullspace, solve
+from .linalg import Matrix, nullspace, solve
 from .models import build_sl3_model
 
 
@@ -193,28 +197,19 @@ def petersson_twist(algebra, f):
 
 
 def _twist(algebra, f):
-    """(twisted, [f*b_j], [b_j*f]): the twist and the products it is built from."""
+    """(twisted, L_f, R_f): the twist, whose tensor is
+    ``product_tensor(L_f, R_f)``, and the maps it is built from."""
     _require_idempotent(algebra, f)
-    field = algebra.field
-    dim = algebra.dim
-    basis = algebra.basis()
-    left = [algebra.multiply(f, b) for b in basis]   # f*x
-    right = [algebra.multiply(b, f) for b in basis]  # y*f
-    tensor = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(list(algebra.multiply(left[i], right[j]).coords))
-        tensor.append(row)
+    lf, rf = algebra.left_mult_matrix(f), algebra.right_mult_matrix(f)
     twisted = StructureConstantAlgebra(
-        field, dim, algebra.labels, tensor, form=algebra.form, grading=None
+        algebra.field, algebra.dim, algebra.labels, algebra.product_tensor(lf, rf),
+        form=algebra.form, grading=None,
     )
     ft = twisted.element(f.coords)
-    for j in range(dim):
-        bj = twisted.basis_element(j)
-        if twisted.multiply(ft, bj) != bj or twisted.multiply(bj, ft) != bj:
-            raise AssertionError("twist unit is not two-sided")
-    return twisted, left, right
+    ident = Matrix.identity(algebra.field, algebra.dim)
+    if twisted.left_mult_matrix(ft) != ident or twisted.right_mult_matrix(ft) != ident:
+        raise AssertionError("twist unit is not two-sided")
+    return twisted, lf, rf
 
 
 @dataclass
@@ -271,7 +266,7 @@ def twist_report(algebra, f, trials=500, seed=0):
     identity x*y = (x*f).(f*y).  Basis products of either algebra are read
     from its tensor.
     """
-    twisted, left, right = _twist(algebra, f)
+    twisted, lf, rf = _twist(algebra, f)
     dim = algebra.dim
     values = twisted.form.values
     norm_ok = all(
@@ -279,14 +274,8 @@ def twist_report(algebra, f, trials=500, seed=0):
         for i in range(dim)
         for j in range(dim)
     )
-    # b_i*f and f*b_j as elements of the twist
-    xf = [twisted.element(x.coords) for x in right]
-    fy = [twisted.element(y.coords) for y in left]
-    recovery_ok = all(
-        twisted.multiply(xf[i], fy[j]).coords == algebra.tensor[i][j]
-        for i in range(dim)
-        for j in range(dim)
-    )
+    # (b_i*f).(f*b_j) = b_i*b_j on all basis pairs
+    recovery_ok = twisted.product_tensor(rf, lf) == algebra.tensor
     certificate_ok, alt_ok = _alternative_laws(twisted, trials, seed)
     return TwistReport(
         field_spec=algebra.field.spec_string(),
@@ -316,10 +305,8 @@ def unit_of(algebra):
     if u is None:
         return None
     cand = algebra.element(u)
-    for j in range(dim):
-        bj = algebra.basis_element(j)
-        if algebra.multiply(bj, cand) != bj:
-            return None
+    if algebra.right_mult_matrix(cand) != Matrix.identity(field, dim):
+        return None
     return cand
 
 
@@ -329,21 +316,15 @@ def para_hurwitz_of(algebra):
     unit = unit_of(algebra)
     if unit is None:
         raise ValueError("para-Hurwitz construction needs a unital algebra")
-    field = algebra.field
-    dim = algebra.dim
-    basis = algebra.basis()
-    conj = []
-    for b in basis:
-        coef = algebra.norm_polar(unit, b)
-        conj.append(unit * coef - b)
-    tensor = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(list(algebra.multiply(conj[i], conj[j]).coords))
-        tensor.append(row)
+    # column j of C is conj(b_j) = n(1, b_j) 1 - b_j
+    polar = [algebra.norm_polar(unit, b) for b in algebra.basis()]
+    conj = Matrix(
+        algebra.field,
+        [[u * p for p in polar] for u in unit.coords],
+    ) - Matrix.identity(algebra.field, algebra.dim)
     return StructureConstantAlgebra(
-        field, dim, algebra.labels, tensor, form=algebra.form, grading=None
+        algebra.field, algebra.dim, algebra.labels, algebra.product_tensor(conj, conj),
+        form=algebra.form, grading=None,
     )
 
 
@@ -354,11 +335,16 @@ def para_hurwitz_of(algebra):
 
 def norm_rank_on(subspace, algebra):
     """Rank of the algebra's form on a subspace: dim V - dim V' with
-    V' = {v in V : q(v) = 0 and B(v, V) = 0}.
+    V' = {v in V : q(v) = 0 and B(v, V) = 0}, the zero set of q on the polar
+    radical R = {r in V : B(r, V) = 0}.
 
-    The polar radical is linear; on it, q vanishes identically when the
-    characteristic is odd (q = B/2), and is checked pointwise by exhaustive
-    enumeration over finite fields of characteristic 2.
+    Let r_1..r_m be a basis of R.  Since B vanishes on R x R,
+    q(sum c_i r_i) = sum c_i^2 q(r_i).  In odd characteristic
+    q(r) = B(r, r)/2 = 0 on R, so V' = R; each q(r_i) is checked to vanish.
+    In characteristic 2 every field here is finite, hence perfect: each
+    q(r_i) has a square root s_i, and q(sum c_i r_i) = (sum c_i s_i)^2.  So
+    V' is the kernel of the linear functional c -> sum c_i s_i on R: all of
+    R if every q(r_i) = 0, a hyperplane of R otherwise.
     """
     form = algebra.form
     field = algebra.field
@@ -370,9 +356,9 @@ def norm_rank_on(subspace, algebra):
         field, [[form.polar_eval(a, b) for b in basis] for a in basis]
     )
     rad_coords = nullspace(gram)
-    # radical vectors in ambient coordinates
-    rad_vectors = []
+    # q on the radical basis, in ambient coordinates
     zero = field.zero
+    q_values = []
     for rc in rad_coords.basis:
         vec = [zero] * subspace.ambient
         for c, row in zip(rc, basis):
@@ -380,36 +366,12 @@ def norm_rank_on(subspace, algebra):
                 for j, x in enumerate(row):
                     if x:
                         vec[j] = vec[j] + c * x
-        rad_vectors.append(vec)
-    if field.characteristic != 2:
-        for v in rad_vectors:
-            if form.evaluate(v):
-                raise AssertionError("quadratic form fails to vanish on the polar radical")
-        vprime_dim = len(rad_vectors)
-    else:
-        if field.cardinality is None:
-            raise InfiniteField(
-                "characteristic-2 rank needs a finite field for the radical scan"
-            )
-        # scan the radical for q(v) = 0; the vanishing set is a subspace here
-        els = list(field.elements())
-        good = []
-        r = len(rad_vectors)
-        for code in range(field.cardinality**r):
-            x = code
-            coefs = []
-            for _ in range(r):
-                coefs.append(els[x % field.cardinality])
-                x //= field.cardinality
-            vec = [zero] * subspace.ambient
-            for c, rv in zip(coefs, rad_vectors):
-                if c:
-                    for j, val in enumerate(rv):
-                        if val:
-                            vec[j] = vec[j] + c * val
-            if not form.evaluate(vec):
-                good.append(vec)
-        vprime_dim = Subspace.from_vectors(field, subspace.ambient, good).dim
+        q_values.append(form.evaluate(vec))
+    vprime_dim = len(q_values)
+    if any(q_values):
+        if field.characteristic != 2:
+            raise AssertionError("quadratic form fails to vanish on the polar radical")
+        vprime_dim -= 1
     return d - vprime_dim
 
 
@@ -458,13 +420,14 @@ def _idempotent_report(algebra, f, tag_of):
     ``tag_of(f, centralizer_dim, norm_rank)`` gives its type tag."""
     _, cent = _verified_tau(algebra, f)
     rank = norm_rank_on(cent, algebra)
+    tag = tag_of(f, cent.dim, rank)
     return IdempotentReport(
         element=f,
         norm_value=algebra.norm(f),
         centralizer_dim=cent.dim,
         tau_fixed_dim=cent.dim,  # fix(tau) was checked equal to the centralizer
         norm_rank=rank,
-        type_tag=tag_of(f, cent.dim, rank),
+        type_tag=tag,
     )
 
 
@@ -609,8 +572,7 @@ def census_summary(algebra, budget=10**8):
     all_norms_one = True
     one = algebra.field.one
     for f in idems:
-        if algebra.norm(f) != one:
-            all_norms_one = False
+        rep = None
         try:
             rep = classify_idempotent(algebra, f)
         except ClassificationAnomaly as exc:
@@ -621,12 +583,15 @@ def census_summary(algebra, budget=10**8):
                     "norm_rank": exc.norm_rank,
                 }
             )
-            continue
         except NotIdempotent:
             # a scan fault, which the dual pass reports as well
             anomalies.append(
                 {"element": [str(c) for c in f.coords], "not_idempotent": True}
             )
+        # a classified idempotent's report carries n(f); an anomaly's does not
+        norm = rep.norm_value if rep is not None else algebra.norm(f)
+        all_norms_one = all_norms_one and norm == one
+        if rep is None:
             continue
         reports.append(rep)
         by_type[rep.type_tag] += 1

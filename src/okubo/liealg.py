@@ -7,6 +7,11 @@ that live the usual tools: inner derivations, Lie closure, derived
 subalgebras, Killing forms, centers, and a MeatAxe-style simplicity
 certificate for finite fields (Norton's criterion on the adjoint module,
 Las Vegas with a fixed retry budget).
+
+A ``LieAlgebra`` is a structure-constant algebra whose product is the
+bracket, so ad b_i is its ``left_mult_matrix(b_i)``.  Leibniz checks read
+both sides from the tensor: D(b_i*b_j) is D applied to a tensor row, and
+D(b_i)*b_j + b_i*D(b_j) is ``product_tensor(D, I) + product_tensor(I, D)``.
 """
 
 from __future__ import annotations
@@ -15,12 +20,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import polys
+from .algebra import StructureConstantAlgebra
 from .errors import BadCharacteristic, Inconclusive, InfiniteField, NotClosed, SingularMatrix
-from .linalg import CoordinateSolver, Matrix, Subspace, nullspace, rref, spin
-
-
-def _map_to_vec(m):
-    return m.to_vec()
+from .linalg import Matrix, Subspace, nullspace, rref, spin
 
 
 def _vec_to_map(field, vec, dim):
@@ -60,20 +62,18 @@ def derivations(algebra):
     return nullspace(leibniz_system(algebra))
 
 
-def leibniz_holds(algebra, dmat, pairs=None):
-    """Does the map satisfy d(x*y) = d(x)*y + x*d(y) on the given basis pairs?"""
-    dim = algebra.dim
-    basis = algebra.basis()
-    images = [algebra.element(dmat.col(j)) for j in range(dim)]
-    if pairs is None:
-        pairs = [(i, j) for i in range(dim) for j in range(dim)]
-    for i, j in pairs:
-        prod = algebra.multiply(basis[i], basis[j])
-        lhs = algebra.element(dmat.matvec(prod.coords))
-        rhs = algebra.multiply(images[i], basis[j]) + algebra.multiply(basis[i], images[j])
-        if lhs != rhs:
-            return False
-    return True
+def leibniz_holds(algebra, dmat):
+    """Does the map satisfy d(b_i*b_j) = d(b_i)*b_j + b_i*d(b_j) on all basis
+    pairs?  The right side is ``product_tensor(D, I) + product_tensor(I, D)``."""
+    ident = Matrix.identity(algebra.field, algebra.dim)
+    left = algebra.product_tensor(dmat, ident)
+    right = algebra.product_tensor(ident, dmat)
+    return all(
+        dmat.matvec(algebra.tensor[i][j])
+        == tuple(a + b for a, b in zip(left[i][j], right[i][j]))
+        for i in range(algebra.dim)
+        for j in range(algebra.dim)
+    )
 
 
 def ad_star(algebra, u):
@@ -95,20 +95,16 @@ def inner_derivation_span(algebra):
     return Subspace.from_vectors(algebra.field, algebra.dim**2, vecs)
 
 
-class LieAlgebra:
+class LieAlgebra(StructureConstantAlgebra):
     """A Lie algebra by structure constants, optionally backed by matrices.
 
+    The bracket is ``multiply`` and ad b_i is ``left_mult_matrix(b_i)``.
     Construction verifies [x,x] = 0 and antisymmetry on the basis and the
     Jacobi identity on all basis triples.
     """
 
     def __init__(self, field, dim, tensor, maps=None):
-        self.field = field
-        self.dim = dim
-        self.tensor = tuple(
-            tuple(tuple(tensor[i][j][k] for k in range(dim)) for j in range(dim))
-            for i in range(dim)
-        )
+        super().__init__(field, dim, [f"x{i}" for i in range(dim)], tensor)
         self.maps = list(maps) if maps is not None else None
         self._validate()
 
@@ -140,57 +136,6 @@ class LieAlgebra:
                                         acc[n] = acc[n] + c * cc
                     if any(acc):
                         raise ValueError("Jacobi identity fails on basis triple")
-
-    @classmethod
-    def from_maps(cls, field, maps):
-        """Lie algebra on an independent family of matrices under commutator."""
-        n = len(maps)
-        solver = CoordinateSolver(field, [m.to_vec() for m in maps])
-        tensor = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                k = maps[a] @ maps[b] - maps[b] @ maps[a]
-                coords = solver.solve(k.to_vec())
-                if coords is None:
-                    raise NotClosed("commutator leaves the span of the given maps")
-                row.append(list(coords))
-            tensor.append(row)
-        return cls(field, n, tensor, maps=maps)
-
-    def bracket_coords(self, u, v):
-        """Bracket of two coordinate vectors, as a coordinate vector."""
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                row = self.tensor[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] = out[k] + ui * vj * row[k]
-        return tuple(out)
-
-    def ad_matrix(self, i):
-        """ad b_i in the algebra's own basis."""
-        cols = [self.tensor[i][j] for j in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)))
-
-    def ad_of_coords(self, u):
-        zero = self.field.zero
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.tensor[i][j][k]
-                    if c:
-                        rows[k][j] = rows[k][j] + ui * c
-        return Matrix(self.field, rows)
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim} over {self.field})"
@@ -239,7 +184,7 @@ def derived_subalgebra(lie):
     for a in range(n):
         row = []
         for b in range(n):
-            w = lie.bracket_coords(basis[a], basis[b])
+            w = lie.multiply(lie.element(basis[a]), lie.element(basis[b])).coords
             coords = span.coordinates_of(w)
             if coords is None:
                 raise NotClosed("derived span not closed; bracket tensor inconsistent")
@@ -259,7 +204,7 @@ def derived_subalgebra(lie):
 
 def killing_form(lie):
     """K[i][j] = trace(ad b_i o ad b_j)."""
-    ads = [lie.ad_matrix(i) for i in range(lie.dim)]
+    ads = [lie.left_mult_matrix(b) for b in lie.basis()]
     rows = []
     for i in range(lie.dim):
         rows.append([(ads[i] @ ads[j]).trace() for j in range(lie.dim)])
@@ -329,7 +274,7 @@ def is_simple_finite(lie, seed=0, max_trials=20):
         return False
     if center_of(lie).dim != 0:
         return False
-    gens = [lie.ad_matrix(i) for i in range(lie.dim)]
+    gens = [lie.left_mult_matrix(b) for b in lie.basis()]
     gens_t = [g.transpose() for g in gens]
     n = lie.dim
     rng = random.Random(seed)
@@ -413,7 +358,7 @@ def inner_bracket_matches_minus(algebra):
     for a in range(dim):
         for b in range(dim):
             lhs = ads[a] @ ads[b] - ads[b] @ ads[a]
-            uv = algebra.multiply(basis[a], basis[b]) - algebra.multiply(basis[b], basis[a])
+            uv = algebra.element(algebra.tensor[a][b]) - algebra.element(algebra.tensor[b][a])
             rhs = ad_star(algebra, uv)
             if lhs != rhs:
                 return False
@@ -477,7 +422,11 @@ def grading_on_derivations(algebra):
         raise BadCharacteristic("the graded derivation analysis is characteristic 3")
     if algebra.grading is None:
         raise ValueError("algebra carries no grading")
-    der = derivations(algebra)
+    return _grading_on(algebra, derivations(algebra))
+
+
+def _grading_on(algebra, der):
+    """``grading_on_derivations`` given the derivation space ``der``."""
     dims = {}
     parts = []
     for gi in range(3):
@@ -602,7 +551,7 @@ def analyze_derivations(algebra, seed=0, max_trials=20):
         notes.append("simplicity certificate restricted to finite fields")
     grading_dims = None
     if field.characteristic == 3 and algebra.grading is not None:
-        grading_dims = grading_on_derivations(algebra).dims
+        grading_dims = _grading_on(algebra, der).dims
     return DerivationAnalysis(
         field_spec=field.spec_string(),
         dim_der=der.dim,

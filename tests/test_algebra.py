@@ -193,6 +193,71 @@ class TestSymmetricComposition:
         assert by_name["xyx_identity_basis"].cases == 64
 
 
+def contraction_algebra(case):
+    """The split algebra over a field, or the gf(3) one with entry 0 negated."""
+    if case == "mutant":
+        return mutated_okubo(field_from_spec("gf(3)"), which=0)
+    return build_split_okubo(field_from_spec(case))
+
+
+def random_matrix(field, rng, n=8):
+    return Matrix(field, [[field.random_scalar(rng) for _ in range(n)] for _ in range(n)])
+
+
+CONTRACTION_CASES = ["gf(3)", "gf(3^2;t^2+1)", "q(w)", "mutant"]
+
+
+class TestContractionLayer:
+    """The tensor contractions against the element path, ``multiply``."""
+
+    @pytest.mark.parametrize("case", CONTRACTION_CASES)
+    def test_mult_matrices_match_multiply(self, case):
+        algebra = contraction_algebra(case)
+        rng = random.Random(3)
+        basis = algebra.basis()
+        for x in basis + [algebra.random_element(rng) for _ in range(3)]:
+            left, right = algebra.left_mult_matrix(x), algebra.right_mult_matrix(x)
+            for j, b in enumerate(basis):
+                assert left.col(j) == algebra.multiply(x, b).coords
+                assert right.col(j) == algebra.multiply(b, x).coords
+
+    @pytest.mark.parametrize("case", CONTRACTION_CASES)
+    def test_product_tensor_matches_multiply(self, case):
+        algebra = contraction_algebra(case)
+        rng = random.Random(5)
+        for _ in range(2):
+            phi, psi = random_matrix(algebra.field, rng), random_matrix(algebra.field, rng)
+            pulled = algebra.product_tensor(phi, psi)
+            for i in range(8):
+                x = algebra.element(phi.col(i))
+                for j in range(8):
+                    y = algebra.element(psi.col(j))
+                    assert pulled[i][j] == algebra.multiply(x, y).coords
+
+    def test_mult_matrix_rejects_foreign_element(self, okubo_gf3, okubo_gf7):
+        with pytest.raises(AlgebraMismatch):
+            okubo_gf3.left_mult_matrix(okubo_gf7.basis_element(0))
+
+    def test_preserves_product_accepts_automorphisms(self, okubo_gf3, sl3_gf7, gf7):
+        from okubo.liealg import conjugation_automorphism
+        from okubo.models import distinguished_idempotent
+
+        lf = okubo_gf3.left_mult_matrix(distinguished_idempotent(okubo_gf3))
+        assert okubo_gf3.preserves_product(lf @ lf)  # tau = L_e^2
+        g = Matrix.from_rows(gf7, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+        assert g.det() != gf7.zero
+        phi = conjugation_automorphism(sl3_gf7, g)
+        assert sl3_gf7.algebra.preserves_product(phi)
+
+    def test_preserves_product_rejects_non_automorphisms(self, okubo_gf7, gf7):
+        assert not okubo_gf7.preserves_product(Matrix.identity(gf7, 8) * 2)
+        rng = random.Random(11)
+        phi = random_matrix(gf7, rng)
+        while phi.det() == gf7.zero:
+            phi = random_matrix(gf7, rng)
+        assert not okubo_gf7.preserves_product(phi)
+
+
 class TestCenterAndGrading:
     @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)"])
     def test_commutative_center_trivial(self, spec):

@@ -136,6 +136,33 @@ class TestSubcommands:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize(
+        "argv, command, text",
+        [
+            (["census", "--field", "gf(3)", "--budget", "1e9"], "census", "--budget"),
+            (["verify"], "verify", "--field"),
+            (["verify", "--field", "gf(3)", "--seed", "x"], "verify", "--seed"),
+            (["verify", "--field", "gf(3)", "--extra", "1"], "verify", "--extra"),
+            (["bogus"], None, "bogus"),
+            ([], None, "command"),
+        ],
+    )
+    def test_parser_errors_are_json(self, capsys, argv, command, text):
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2
+        assert report["command"] == command
+        assert report["error"].startswith("BadOption: ") and text in report["error"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: okubo")
+
 
 class TestExportAndReports:
     def test_export_round_trip(self, capsys, tmp_path):

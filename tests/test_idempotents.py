@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -199,6 +200,40 @@ class TestNormRank:
             [algebra.basis_element(0).coords, algebra.basis_element(1).coords],
         )
         assert norm_rank_on(plane, algebra) == 2
+
+    @pytest.mark.parametrize(
+        "spec, max_dim, cases", [("gf(2)", 5, 300), ("gf(2^2;t^2+t+1)", 3, 150)]
+    )
+    def test_char2_closed_form_matches_scan(self, spec, max_dim, cases):
+        field = field_from_spec(spec)
+        algebra = build_split_okubo(field)
+        rng = random.Random(7)
+        ranks = set()
+        for _ in range(cases):
+            vecs = [[field.random_scalar(rng) for _ in range(8)]
+                    for _ in range(rng.randint(1, max_dim))]
+            space = Subspace.from_vectors(field, 8, vecs)
+            rank = norm_rank_on(space, algebra)
+            assert rank == _norm_rank_by_scan(space, algebra)
+            ranks.add(rank)
+        # B alternates in characteristic 2, so its rank is even; an odd rank
+        # means q is nonzero on the polar radical, the hyperplane case
+        assert any(r % 2 for r in ranks) and any(r and not r % 2 for r in ranks)
+
+
+def _norm_rank_by_scan(space, algebra):
+    """dim V - dim V' with V' = {v in V : q(v) = 0 and B(v, V) = 0}, found by
+    trying every v in V; V' is checked to be a subspace on the way."""
+    field, form = algebra.field, algebra.form
+    basis = list(space.basis)
+    zeros = []
+    for coefs in itertools.product(list(field.elements()), repeat=len(basis)):
+        v = [sum((c * row[j] for c, row in zip(coefs, basis)), field.zero) for j in range(8)]
+        if not form.evaluate(v) and not any(form.polar_eval(v, b) for b in basis):
+            zeros.append(v)
+    vprime = Subspace.from_vectors(field, 8, zeros)
+    assert len(zeros) == field.cardinality**vprime.dim
+    return len(basis) - vprime.dim
 
 
 class TestTwist:

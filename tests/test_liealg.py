@@ -28,13 +28,10 @@ from okubo.models import build_sl3_model, build_split_okubo
 
 
 def abelian_algebra(field):
-    return LieAlgebra.from_maps(
-        field,
-        [
-            Matrix.from_rows(field, [[1, 0], [0, 0]]),
-            Matrix.from_rows(field, [[0, 0], [0, 1]]),
-        ],
-    )
+    return lie_close(Subspace.from_vectors(field, 4, [
+        Matrix.from_rows(field, [[1, 0], [0, 0]]).to_vec(),
+        Matrix.from_rows(field, [[0, 0], [0, 1]]).to_vec(),
+    ]))
 
 
 class TestDerivationDimensions:
@@ -96,6 +93,12 @@ class TestDerivationProperties:
         for row in derivations(okubo_gf3).basis:
             assert leibniz_holds(okubo_gf3, Matrix.from_vec(gf3, row, 8, 8))
 
+    def test_leibniz_rejects_non_derivations(self, okubo_gf3, gf3):
+        assert not leibniz_holds(okubo_gf3, Matrix.identity(gf3, 8))
+        d = Matrix.from_vec(gf3, derivations(okubo_gf3).basis[0], 8, 8)
+        bump = Matrix.from_vec(gf3, [gf3.one] + [gf3.zero] * 63, 8, 8)
+        assert not leibniz_holds(okubo_gf3, d + bump)
+
     def test_commutator_closed(self, okubo_gf3):
         lie_close(derivations(okubo_gf3))  # raises NotClosed on failure
 
@@ -132,11 +135,17 @@ class TestLieAlgebraStructure:
         with pytest.raises(ValueError):
             LieAlgebra(gf3, 3, bad)
 
-    def test_from_maps_not_closed(self, gf3):
+    def test_ad_is_left_multiplication_by_basis(self, okubo_gf3):
+        lie = minus_algebra(okubo_gf3)
+        for i, b in enumerate(lie.basis()):
+            ad = lie.left_mult_matrix(b)
+            assert all(ad.col(j) == lie.tensor[i][j] for j in range(lie.dim))
+
+    def test_lie_close_not_closed(self, gf3):
         e12 = Matrix.from_rows(gf3, [[0, 1], [0, 0]])
         e21 = Matrix.from_rows(gf3, [[0, 0], [1, 0]])
         with pytest.raises(NotClosed):
-            LieAlgebra.from_maps(gf3, [e12, e21])
+            lie_close(Subspace.from_vectors(gf3, 4, [e12.to_vec(), e21.to_vec()]))
 
     def test_derived_of_abelian_is_zero(self, gf3):
         assert derived_subalgebra(abelian_algebra(gf3)).dim == 0
@@ -170,8 +179,8 @@ class TestKilling:
             x = [gf3.random_scalar(rng) for _ in range(n)]
             y = [gf3.random_scalar(rng) for _ in range(n)]
             z = [gf3.random_scalar(rng) for _ in range(n)]
-            xy = derived.bracket_coords(x, y)
-            yz = derived.bracket_coords(y, z)
+            xy = derived.multiply(derived.element(x), derived.element(y)).coords
+            yz = derived.multiply(derived.element(y), derived.element(z)).coords
             lhs = sum((a * b for a, b in zip(k.matvec(z), xy)), gf3.zero)
             rhs = sum((a * b for a, b in zip(k.matvec(yz), x)), gf3.zero)
             assert lhs == rhs
