@@ -21,17 +21,20 @@ triples prove it.  The nonlinear identities n(x*y) = n(x)n(y) and
 (x*y)*x = n(x)y = x*(y*x) are quadratic in each variable (linear in y for
 the second), so they are proved by certificates: their values on the basis
 and on all sums of two basis vectors.  Randomized element trials of all
-three identities stay as a second route.  Over fields with lookup tables
-(``_kernels.supports_field``) the certificates and trials run on
-integer-encoded arrays; over Q(w) and larger fields they run on elements.
-Both draw the trial elements from the same random stream in the same order,
-so their reports are identical.
+three identities stay as a second route.  Every check, the basis ones
+included, runs on one batch layer (``identity_batch``): exact integer arrays
+over Q and Q(w) (``_IntegerBatch``), integer-encoded arrays over fields with
+lookup tables (``_kernels.supports_field``), and elements over larger finite
+fields (``_ObjectBatch``, also the oracle the other two are tested against).
+All of them draw the trial elements from the same random stream in the same
+order, so their reports are identical.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -303,47 +306,12 @@ class StructureConstantAlgebra:
         if self.form is None:
             raise NoForm("symmetric composition needs a quadratic form")
         rng = random.Random(seed)
-        basis = self.basis()
-        products = [[self.element(self.tensor[i][j]) for j in range(self.dim)]
-                    for i in range(self.dim)]
-        checks = []
-
-        # polar associativity n(x*y, z) = n(x, y*z): trilinear, so basis
-        # triples are a complete proof
-        failures = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.norm_polar(products[i][j], basis[k])
-                    rhs = self.norm_polar(basis[i], products[j][k])
-                    if lhs != rhs:
-                        failures.append((self.labels[i], self.labels[j], self.labels[k]))
-        checks.append(
-            IdentityCheck("polar_associative_basis", self.dim**3, failures[:3])
-        )
-
-        # multiplicativity and the flip identity on basis pairs
-        mult_fail, flip_fail = [], []
-        for i in range(self.dim):
-            ni = self.norm(basis[i])
-            for j in range(self.dim):
-                if self.norm(products[i][j]) != ni * self.norm(basis[j]):
-                    mult_fail.append((self.labels[i], self.labels[j]))
-                lhs = self.multiply(products[i][j], basis[i])
-                mid = basis[j] * ni
-                rhs = self.multiply(basis[i], products[j][i])
-                if lhs != mid or rhs != mid:
-                    flip_fail.append((self.labels[i], self.labels[j]))
-        checks.append(IdentityCheck("norm_multiplicative_basis", self.dim**2, mult_fail[:3]))
-        checks.append(IdentityCheck("xyx_identity_basis", self.dim**2, flip_fail[:3]))
-
-        # the nonlinear identities, on encoded arrays when the field has
-        # lookup tables and on elements otherwise
         batch = identity_batch(self)
+        checks = self._basis_checks(batch)
         checks.extend(self._composition_certificates(batch))
 
         # randomized element-level trials: a second route, drawn x, y, z in
-        # turn from one stream, so both kinds of batch see the same elements
+        # turn from one stream, so every kind of batch sees the same elements
         X, Y, Z = batch.draw(rng, trials, 3)
         XY = batch.multiply(X, Y)
         holds = {
@@ -354,25 +322,48 @@ class StructureConstantAlgebra:
             ),
         }
         for name, ok in holds.items():
-            fails = [batch.coords_text(X, r) for r in np.flatnonzero(~ok)[:3]]
-            checks.append(IdentityCheck(f"{name}_random", trials, fails))
+            checks.append(IdentityCheck.of(f"{name}_random", ok,
+                                           lambda r: batch.coords_text(X, r)))
 
         return CompositionReport(seed=seed, trials=trials, checks=checks)
+
+    def _basis_checks(self, batch):
+        """Polar associativity on the 512 basis triples, a complete proof since
+        it is trilinear, and the multiplicativity and flip identities on the
+        64 basis pairs; the products b_i*b_j are read as tensor rows."""
+        dim, labels = self.dim, self.labels
+        B = batch.rows(self.basis())
+        P = batch.rows([AlgebraElement(self, self.tensor[i][j])
+                        for i in range(dim) for j in range(dim)])
+        i, j, k = (a.ravel() for a in np.indices((dim, dim, dim)))
+        ok = batch.equal(
+            batch.polar(batch.take(P, i * dim + j), batch.take(B, k)),
+            batch.polar(batch.take(B, i), batch.take(P, j * dim + k)),
+        )
+        checks = [IdentityCheck.of("polar_associative_basis", ok,
+                                   lambda r: (labels[i[r]], labels[j[r]], labels[k[r]]))]
+
+        row, col = (a.ravel() for a in np.indices((dim, dim)))
+        X, Y, XY = batch.take(B, row), batch.take(B, col), batch.take(P, row * dim + col)
+
+        def pair(r):
+            return labels[row[r]], labels[col[r]]
+
+        checks.append(IdentityCheck.of("norm_multiplicative_basis",
+                                       batch.norm_multiplicative(X, Y, XY), pair))
+        checks.append(IdentityCheck.of("xyx_identity_basis", batch.xyx_identity(X, Y, XY), pair))
+        return checks
 
     def _composition_certificates(self, batch):
         """Complete checks of n(x*y) = n(x)n(y), quadratic in x and y (36 * 36
         cases), and (x*y)*x = n(x)y = x*(y*x), quadratic in x and linear in y
         (36 * 8 cases); see ``_Batch.certificate_cases``."""
-        checks = []
         X, Y, label = batch.certificate_cases()
-        ok = batch.xyx_identity(X, Y, batch.multiply(X, Y))
-        fails = [label(r) for r in np.flatnonzero(~ok)[:3]]
-        checks.append(IdentityCheck("xyx_identity_certificate", ok.size, fails))
-
+        xyx = batch.xyx_identity(X, Y, batch.multiply(X, Y))
+        checks = [IdentityCheck.of("xyx_identity_certificate", xyx, label)]
         X, Y, label = batch.certificate_cases(y_quadratic=True)
-        ok = batch.norm_multiplicative(X, Y, batch.multiply(X, Y))
-        fails = [label(r) for r in np.flatnonzero(~ok)[:3]]
-        checks.append(IdentityCheck("norm_multiplicative_certificate", ok.size, fails))
+        nm = batch.norm_multiplicative(X, Y, batch.multiply(X, Y))
+        checks.append(IdentityCheck.of("norm_multiplicative_certificate", nm, label))
         return checks
 
     # -- serialization --
@@ -427,7 +418,10 @@ class StructureConstantAlgebra:
 
 
 def identity_batch(algebra):
-    """Encoded arrays when the field has lookup tables, elements otherwise."""
+    """Exact integer arrays over Q and Q(w), encoded arrays when the field has
+    lookup tables, elements otherwise."""
+    if algebra.field.characteristic == 0:
+        return _IntegerBatch(algebra)
     if _kernels.supports_field(algebra.field):
         return _EncodedBatch(algebra)
     return _ObjectBatch(algebra)
@@ -464,6 +458,13 @@ class _Batch:
         xs, ys = np.divmod(np.arange(len(names) * ny), ny)
         return self.take(P, xs), self.take(P, ys), lambda r: (names[xs[r]], names[ys[r]])
 
+    def draw(self, rng, count, arity):
+        """``arity`` batches of ``count`` random elements, drawn in turn from
+        one stream: x, y, z of the first trial, then of the second, ..."""
+        rand = self.algebra.random_element
+        draws = [[rand(rng) for _ in range(arity)] for _ in range(count)]
+        return tuple(self.rows([t[n] for t in draws]) for n in range(arity))
+
     def norm_multiplicative(self, X, Y, XY):
         """n(x*y) = n(x)n(y) on each row, given XY = X*Y."""
         return self.equal(self.norm(XY), self.times(self.norm(X), self.norm(Y)))
@@ -489,11 +490,6 @@ class _ObjectBatch(_Batch):
 
     def take(self, batch, index):
         return [batch[i] for i in index]
-
-    def draw(self, rng, count, arity):
-        rand = self.algebra.random_element
-        draws = [[rand(rng) for _ in range(arity)] for _ in range(count)]
-        return tuple([t[n] for t in draws] for n in range(arity))
 
     def multiply(self, X, Y):
         return [self.algebra.multiply(x, y) for x, y in zip(X, Y)]
@@ -563,11 +559,152 @@ class _EncodedBatch(_Batch):
         return tuple(str(self.tables.elements[c]) for c in X[r])
 
 
-@dataclass
+class _IntegerBatch(_Batch):
+    """Exact arrays over Q and Q(w) with no gcd anywhere.
+
+    A batch is a triple (a, b, d): the numerators a + b*w (w^2 = -1 - w) as
+    numpy object arrays of Python ints, of shape (N, dim) for coordinate rows
+    or (N,) for scalars, and one positive integer denominator per row in d.
+    Q is the case b = 0.  Python ints never overflow, so nothing is
+    truncated.  The tensor and the form are each scaled once by their common
+    denominator; rows are compared by cross-multiplying with the
+    denominators.
+    """
+
+    def __init__(self, algebra):
+        super().__init__(algebra)
+        self.field = algebra.field
+        coeffs = {(i, j, k): c for i, j, k, c in algebra.entries}
+        self.tensor_den = _common_denominator(coeffs.values())
+        # the entries grouped by (i, j), so each column x_i y_j is formed once
+        self.products = {}
+        for (i, j, k), c in _numerators(coeffs, self.tensor_den).items():
+            self.products.setdefault((i, j), []).append((k, c))
+
+    @functools.cached_property
+    def _form_terms(self):
+        """(den, quadratic terms, polar terms): the numerators over den of the
+        coefficients of n(x) (pairs i <= j) and of n(x, y) (all pairs)."""
+        form, dim = self.algebra.form, self.algebra.dim
+        polar = {(i, j): form.polar[i, j] for i in range(dim) for j in range(dim)}
+        quad = {(i, j): form.values[i] if i == j else c for (i, j), c in polar.items() if i <= j}
+        den = _common_denominator([*quad.values(), *polar.values()])
+        return den, _numerators(quad, den), _numerators(polar, den)
+
+    def rows(self, elements):
+        reps = [[_zw_rep(c) for c in x.coords] for x in elements]
+        dens = [math.lcm(*(d for *_, d in row)) for row in reps]
+        scaled = [[(a * (m // d), b * (m // d)) for a, b, d in row] for row, m in zip(reps, dens)]
+        ab = np.array(scaled, dtype=object).reshape(len(reps), self.algebra.dim, 2)
+        return ab[..., 0], ab[..., 1], np.array(dens, dtype=object)
+
+    def take(self, batch, index):
+        return tuple(part[index] for part in batch)
+
+    def multiply(self, X, Y):
+        (xa, xb, xd), (ya, yb, yd) = X, Y
+        za, zb = np.zeros(xa.shape, dtype=object), np.zeros(xa.shape, dtype=object)
+        for (i, j), terms in self.products.items():
+            pa, pb = _zw_mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
+            for k, (ca, cb) in terms:
+                ta, tb = _zw_mul(pa, pb, ca, cb)
+                za[:, k] += ta
+                zb[:, k] += tb
+        return za, zb, xd * yd * self.tensor_den
+
+    def norm(self, X):
+        den, quad, _ = self._form_terms
+        xa, xb, xd = X
+        return (*self._form_sum(quad, xa, xb, xa, xb), xd * xd * den)
+
+    def polar(self, X, Y):
+        den, _, polar = self._form_terms
+        (xa, xb, xd), (ya, yb, yd) = X, Y
+        return (*self._form_sum(polar, xa, xb, ya, yb), xd * yd * den)
+
+    @staticmethod
+    def _form_sum(terms, xa, xb, ya, yb):
+        """Numerators of sum c_ij x_i y_j over the scaled terms."""
+        na, nb = np.zeros(len(xa), dtype=object), np.zeros(len(xa), dtype=object)
+        for (i, j), (ca, cb) in terms.items():
+            pa, pb = _zw_mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
+            ta, tb = _zw_mul(pa, pb, ca, cb)
+            na += ta
+            nb += tb
+        return na, nb
+
+    def scale(self, X, s):
+        (xa, xb, xd), (sa, sb, sd) = X, s
+        return (*_zw_mul(xa, xb, sa[:, None], sb[:, None]), xd * sd)
+
+    def times(self, s, t):
+        (sa, sb, sd), (ta, tb, td) = s, t
+        return (*_zw_mul(sa, sb, ta, tb), sd * td)
+
+    def equal(self, A, B):
+        (aa, ab, ad), (ba, bb, bd) = A, B
+        if aa.ndim == 2:
+            ad, bd = ad[:, None], bd[:, None]
+        same = (aa * bd == ba * ad) & (ab * bd == bb * ad)
+        return same.all(axis=1) if same.ndim == 2 else same
+
+    def coords_text(self, X, r):
+        a, b, d = X
+        field = self.field
+        text = []
+        for u, v in zip(a[r], b[r]):
+            s = field.from_int(u)
+            if v:  # only Q(w) rows have a w-part
+                s = s + field.omega * v
+            text.append(str(s / d[r]))
+        return tuple(text)
+
+
+def _zw_rep(s):
+    """(a, b, d) with s = (a + b*w)/d, for a Scalar of Q or Q(w)."""
+    rep = s.rep
+    return (rep[0], 0, rep[1]) if len(rep) == 2 else rep
+
+
+def _zw_mul(a1, b1, a2, b2):
+    """(a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w, on ints or arrays."""
+    bb = b1 * b2
+    return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
+
+
+def _common_denominator(scalars):
+    """The least common denominator of Scalars of Q or Q(w)."""
+    return math.lcm(1, *(_zw_rep(s)[2] for s in scalars))
+
+
+def _numerators(coeffs, den):
+    """{key: (a, b)} with coeffs[key] = (a + b*w)/den, for the nonzero values
+    of a dict of Scalars of Q or Q(w) whose denominators divide den."""
+    out = {}
+    for key, s in coeffs.items():
+        if s:
+            a, b, d = _zw_rep(s)
+            out[key] = (a * (den // d), b * (den // d))
+    return out
+
+
+@dataclass(eq=False)
 class IdentityCheck:
+    """One identity checked row by row: ``verdicts`` holds one bool per case
+    and ``failures`` the witnesses of the first three failed cases."""
+
     name: str
-    cases: int
+    verdicts: np.ndarray
     failures: list
+
+    @classmethod
+    def of(cls, name, verdicts, witness):
+        """The check with these verdicts; ``witness(r)`` names case r."""
+        return cls(name, verdicts, [witness(r) for r in np.flatnonzero(~verdicts)[:3]])
+
+    @property
+    def cases(self):
+        return self.verdicts.size
 
     @property
     def passed(self):

@@ -165,15 +165,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=200):
+    def common(p, trials_default=None):
+        """The options every command takes; ``--trials`` only where a
+        default is given, since only verify and twist draw random trials."""
         p.add_argument("--field", required=True, help="gf(3), gf(3^2;t^2+1), q, q(w)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=trials_default)
+        if trials_default is not None:
+            p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                        help="also write the report to this file")
 
     p = sub.add_parser("verify", help="symmetric-composition axiom suite")
-    common(p)
+    common(p, trials_default=200)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("models", help="build models and check the isomorphisms")
@@ -207,8 +210,9 @@ def build_parser():
 
 def _check_options(args):
     """Reject option values no command can run with, before any work."""
-    if args.trials < 1:
-        raise BadOption(f"--trials must be at least 1, got {args.trials}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise BadOption(f"--trials must be at least 1, got {trials}")
     if getattr(args, "budget", 1) <= 0:
         raise BadOption(f"--budget must be positive, got {args.budget}")
     for path in (getattr(args, "out", None), args.json_path):
@@ -217,6 +221,20 @@ def _check_options(args):
 
 
 def main(argv=None):
+    """Run one command line, print its JSON report and return the exit code."""
+    text, code = _run(argv)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early (``okubo verify ... | head``):
+        # point stdout at devnull, so that the flush at exit stays quiet, and
+        # keep the command's own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
+def _run(argv):
+    """(report text, exit code) for one command line."""
     args = None
     try:
         args, extra = build_parser().parse_known_args(argv)
@@ -233,10 +251,8 @@ def main(argv=None):
             "command": args.command if args is not None else exc.command,
             "error": f"{type(exc).__name__}: {exc}",
         }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 2
-    print(text)
-    return 0 if passed else 1
+        return json.dumps(report, indent=2, sort_keys=True), 2
+    return text, 0 if passed else 1
 
 
 def _report_text(args, results, passed):

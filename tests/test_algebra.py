@@ -2,12 +2,20 @@ import json
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okubo import _kernels
-from okubo.algebra import QuadraticForm, StructureConstantAlgebra
+from okubo import algebra as algebra_module
+from okubo.algebra import (
+    QuadraticForm,
+    StructureConstantAlgebra,
+    _EncodedBatch,
+    _IntegerBatch,
+    _ObjectBatch,
+    identity_batch,
+)
 from okubo.errors import AlgebraMismatch, NoForm
 from okubo.fields import field_from_spec
 from okubo.linalg import Matrix
@@ -44,13 +52,22 @@ def okubo_or_bumped(field, which):
 
 
 def object_path_report(algebra, trials, seed):
-    """The composition report computed on elements, even over a finite field."""
-    with mock.patch.object(_kernels, "supports_field", return_value=False):
+    """The composition report computed on elements, over any field."""
+    with mock.patch.object(algebra_module, "identity_batch", _ObjectBatch):
         return algebra.check_symmetric_composition(trials=trials, seed=seed)
 
 
 def summary_text(report):
     return json.dumps(report.summary(), sort_keys=True)
+
+
+def assert_same_rows(report, oracle):
+    """Identical per-row verdicts of every check, and identical report text,
+    witnesses included."""
+    assert [c.name for c in report.checks] == [c.name for c in oracle.checks]
+    for check, same in zip(report.checks, oracle.checks):
+        assert np.array_equal(check.verdicts, same.verdicts), check.name
+    assert summary_text(report) == summary_text(oracle)
 
 
 class TestMultiply:
@@ -191,6 +208,101 @@ class TestSymmetricComposition:
         assert by_name["polar_associative_basis"].cases == 512
         assert by_name["norm_multiplicative_basis"].cases == 64
         assert by_name["xyx_identity_basis"].cases == 64
+
+
+#: the new values of the q(w) mutants' entry, beside negation (None)
+QW_MUTANT_VALUES = {"neg": None, "w": "w", "half": "1/2"}
+
+
+def zw_scalar(field, a, b, d):
+    """(a + b*w)/d as a Scalar of Q(w), from Python ints."""
+    return (field.from_int(a) + field.omega * b) / d
+
+
+class TestIntegerBatch:
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [("q", _IntegerBatch), ("q(w)", _IntegerBatch), ("gf(2)", _EncodedBatch),
+         ("gf(3)", _EncodedBatch), ("gf(3^2;t^2+1)", _EncodedBatch),
+         ("gf(257)", _ObjectBatch)],
+    )
+    def test_identity_batch_choice(self, spec, kind):
+        assert type(identity_batch(build_split_okubo(field_from_spec(spec)))) is kind
+
+    @pytest.mark.parametrize("spec", ["q", "q(w)"])
+    def test_algebra_matches_object_path(self, spec):
+        algebra = build_split_okubo(field_from_spec(spec))
+        report = algebra.check_symmetric_composition(trials=40, seed=3)
+        assert report.passed
+        assert_same_rows(report, object_path_report(algebra, 40, 3))
+
+    @pytest.mark.parametrize("kind", sorted(QW_MUTANT_VALUES))
+    def test_every_qw_mutant_matches_object_path_and_is_caught(self, qw, okubo_qw, kind):
+        # each of the 32 nonzero entries negated, set to w or set to 1/2, so
+        # that the w-parts and the denominators are exercised
+        text = QW_MUTANT_VALUES[kind]
+        value = None if text is None else qw.parse(text)
+        assert len(okubo_qw.entries) == 32
+        for which in range(32):
+            algebra = mutated_okubo(qw, which, value)
+            report = algebra.check_symmetric_composition(trials=3, seed=which)
+            certificates = [c for c in report.checks if c.name.endswith("_certificate")]
+            assert any(c.failures for c in certificates), which
+            assert_same_rows(report, object_path_report(algebra, 3, which))
+
+    @given(
+        spec=st.sampled_from(["q", "q(w)"]),
+        which=st.one_of(st.none(), st.integers(0, 31)),
+        seed=st.integers(0, 10**6),
+        trials=st.integers(1, 60),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_object_path_property(self, spec, which, seed, trials):
+        algebra = okubo_or_bumped(field_from_spec(spec), which)
+        report = algebra.check_symmetric_composition(trials=trials, seed=seed)
+        assert_same_rows(report, object_path_report(algebra, trials, seed))
+
+    def test_exact_beyond_int64(self, okubo_qw, qw):
+        # numerators near 10^30 over a denominator of 7: their products pass
+        # 2^63 many times over, so any int64 step would change the results
+        rng = random.Random(11)
+
+        def big_element():
+            return okubo_qw.element([
+                zw_scalar(qw, rng.randrange(10**30, 2 * 10**30),
+                          rng.randrange(-2 * 10**30, -10**30), 7)
+                for _ in range(8)
+            ])
+
+        xs = [big_element() for _ in range(6)]
+        ys = [big_element() for _ in range(6)]
+        batch = _IntegerBatch(okubo_qw)
+        X, Y = batch.rows(xs), batch.rows(ys)
+        assert list(X[2]) == [7] * 6 and abs(X[0]).min() >= 10**30
+        assert X[0].dtype == object
+
+        def scalars(values):
+            return [zw_scalar(qw, a, b, d) for a, b, d in zip(*values)]
+
+        XY = batch.multiply(X, Y)
+        assert [batch.coords_text(XY, r) for r in range(6)] == [
+            tuple(map(str, okubo_qw.multiply(x, y).coords)) for x, y in zip(xs, ys)
+        ]
+        assert max(abs(v) for v in XY[0].ravel()) > 2**63
+        assert scalars(batch.norm(X)) == [okubo_qw.norm(x) for x in xs]
+        assert scalars(batch.polar(X, Y)) == [okubo_qw.norm_polar(x, y) for x, y in zip(xs, ys)]
+        objects = _ObjectBatch(okubo_qw)
+        for check in ("norm_multiplicative", "xyx_identity"):
+            verdicts = getattr(batch, check)(X, Y, XY)
+            assert verdicts.all()
+            assert np.array_equal(
+                verdicts, getattr(objects, check)(xs, ys, objects.multiply(xs, ys))
+            )
+        # one unit in the last place of one numerator is a different element
+        a, b, d = XY
+        a = a.copy()
+        a[4, 5] += 1
+        assert list(batch.equal(XY, (a, b, d))) == [True] * 4 + [False, True]
 
 
 def contraction_algebra(case):

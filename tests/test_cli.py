@@ -131,6 +131,33 @@ class TestSubcommands:
         assert code == 2
         assert "BadOption" in report["error"]
 
+    @pytest.mark.parametrize("command", ["census", "models", "derivations", "export"])
+    def test_trials_rejected_where_unused(self, capsys, tmp_path, command):
+        out = tmp_path / "x.json"
+        argv = [command, "--field", "gf(3)", "--trials", "5"]
+        code, report = run_cli(capsys, *argv, *([str(out)] if command == "export" else []))
+        assert code == 2
+        assert report["command"] == command
+        assert report["error"].startswith("BadOption: ") and "--trials" in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            (["verify", "--field", "gf(3)"], 200),
+            (["twist", "--field", "gf(3)", "--idempotent", "1,1,1,1,1,1,1,1"], 500),
+            (["models", "--field", "gf(5)"], None),
+            (["derivations", "--field", "gf(3)"], None),
+            (["census", "--field", "gf(3)"], None),
+            (["export", "--field", "gf(3)"], None),
+        ],
+    )
+    def test_trials_key(self, capsys, tmp_path, argv, trials):
+        out = [str(tmp_path / "x.json")] if argv[0] == "export" else []
+        code, report = run_cli(capsys, *argv, *out)
+        assert code == 0
+        assert report["trials"] == trials
+
     def test_bad_field_spec(self, capsys):
         code, report = run_cli(capsys, "verify", "--field", "gf(6)")
         assert code == 2
@@ -272,3 +299,24 @@ def test_module_entry_point():
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert report["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--field", "q", "--trials", "10"], 0),
+        (["census", "--field", "gf(3)", "--trials", "5"], 2),
+    ],
+)
+def test_closed_stdout_pipe_is_quiet(argv, code):
+    # the reader is gone before the report is written, so every write to
+    # the pipe fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "okubo.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == code
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from okubo import _kernels
-from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _ObjectBatch
+from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _IntegerBatch, _ObjectBatch
 from okubo.errors import (
     BadCharacteristic,
     BudgetExceeded,
@@ -314,6 +314,29 @@ class TestTwistAlternativeLaws:
         assert len(X) == len(U) == 36 * 8
         assert [label(r) for r in range(len(X))] == [same_label(r) for r in range(len(U))]
         assert np.array_equal(encoded.alternative_laws(X, Y), objects.alternative_laws(U, V))
+
+    @pytest.mark.parametrize("which", ["twist", "mutant"])
+    def test_integer_batch_agrees_over_qw(self, qw, which):
+        # the twist at an idempotent of the q(w) algebra; its random trials
+        # draw coordinates with denominators and w-parts
+        algebra = build_split_okubo(qw)
+        twisted = petersson_twist(algebra, algebra.element([1, 1, 0, 0, 0, 0, 0, 0]))
+        if which == "mutant":
+            twisted = twist_mutant(twisted)
+        integer, objects = _IntegerBatch(twisted), _ObjectBatch(twisted)
+        X, Y, label = integer.certificate_cases()
+        U, V, same_label = objects.certificate_cases()
+        assert [label(r) for r in range(len(U))] == [same_label(r) for r in range(len(U))]
+        certificate = integer.alternative_laws(X, Y)
+        assert np.array_equal(certificate, objects.alternative_laws(U, V))
+        X, Y = integer.draw(random.Random(5), 30, 2)
+        U, V = objects.draw(random.Random(5), 30, 2)
+        assert [integer.coords_text(X, r) for r in range(30)] == [
+            objects.coords_text(U, r) for r in range(30)
+        ]
+        verdicts = integer.alternative_laws(X, Y)
+        assert np.array_equal(verdicts, objects.alternative_laws(U, V))
+        assert certificate.all() == verdicts.all() == (which == "twist")
 
     def test_certificate_catches_mutant(self, twists):
         assert _alternative_laws(twists["twist"], 1, 0) == (True, True)
