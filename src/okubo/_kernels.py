@@ -6,7 +6,11 @@ same kernels serve GF(p) and GF(p^k) alike.
 
 * Row reduction is one vectorized numpy loop over the columns; the tests
   compare it with the generic row reduction on scalar representations in
-  ``linalg``.
+  ``linalg``.  Spans, nullspaces and coordinates built on it return the
+  canonical RREF bases that ``linalg.Subspace`` stores.
+* ``batch_matmul`` multiplies stacks of encoded matrices with numpy's
+  broadcasting; it forms every matrix product of the encoded derivation
+  analysis (``_encoded_lie``).
 * The idempotent census has two scans that differ by algorithm, not by
   backend.  The main pass runs ``census_codes``, a split-grid scan that
   tabulates half-vector parts of v*v once and filters the grid of candidates
@@ -64,6 +68,12 @@ class FieldTables:
         self.neg = neg
         self.inv = inv
 
+    @functools.cached_property
+    def lists(self):
+        """(add, mul, neg) as nested Python lists, for loops over a few
+        scalars, where indexing a list is faster than indexing an array."""
+        return self.add.tolist(), self.mul.tolist(), self.neg.tolist()
+
 
 @functools.lru_cache(maxsize=None)
 def tables_for(field):
@@ -118,6 +128,45 @@ def rref_encoded(field, arr):
             a[rows] = t.add[a[rows], t.neg[prod]]
         pivots.append(c)
     return a, tuple(pivots)
+
+
+def span_encoded(field, arr):
+    """The RREF basis (rank, n) of the row span of an encoded (m, n) array."""
+    red, pivots = rref_encoded(field, arr)
+    return red[: len(pivots)]
+
+
+def nullspace_encoded(field, arr):
+    """The RREF basis of {v : arr v = 0}, the rows ``linalg.nullspace`` gives."""
+    n = arr.shape[1]
+    red, pivots = rref_encoded(field, arr)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, list(pivots)] = tables_for(field).neg[red[: len(pivots)][:, free].T]
+    return span_encoded(field, basis)
+
+
+def coordinates_encoded(field, basis, vectors):
+    """Coordinates (N, r) of encoded vectors (N, n) in an RREF basis (r, n),
+    and a bool per vector: does the basis span it?"""
+    pivots = (basis != 0).argmax(axis=1)
+    coords = vectors[:, pivots]
+    inside = (batch_matmul(field, coords, basis) == vectors).all(axis=1)
+    return coords, inside
+
+
+def batch_matmul(field, A, B):
+    """Encoded products A @ B of (..., m, k) and (..., k, n) stacks, with the
+    leading axes broadcast as numpy's matmul does."""
+    t = tables_for(field)
+    A, B = np.asarray(A), np.asarray(B)
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    out = np.zeros(shape, dtype=np.int64)
+    for s in range(A.shape[-1]):
+        out = t.add[out, t.mul[A[..., :, s, None], B[..., None, s, :]]]
+    return out
 
 
 # ---------------------------------------------------------------------------

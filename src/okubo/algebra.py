@@ -41,14 +41,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import AlgebraMismatch, CoordinateCount, NoForm
-from .fields import field_from_spec
+from .fields import RationalOmegaField, field_from_spec
 from .linalg import Matrix, Subspace, nullspace
 
 
 class QuadraticForm:
     """A quadratic form given by basis values and its polar matrix."""
 
-    __slots__ = ("values", "polar")
+    __slots__ = ("values", "polar", "pairs")
 
     def __init__(self, values, polar):
         self.values = tuple(values)
@@ -62,19 +62,19 @@ class QuadraticForm:
                     raise ValueError("polar matrix must be symmetric")
             if polar[i, i] != self.values[i] + self.values[i]:
                 raise ValueError(f"polar diagonal B[{i}][{i}] must equal 2*q(b_{i})")
+        #: the triples (i, j, B[i][j]) with i < j and B[i][j] != 0
+        self.pairs = tuple(
+            (i, j, polar[i, j]) for i in range(n) for j in range(i + 1, n) if polar[i, j]
+        )
 
     def evaluate(self, coords):
-        field = self.polar.field
-        acc = field.zero
-        n = len(coords)
-        for i in range(n):
-            ci = coords[i]
-            if not ci:
-                continue
-            acc = acc + ci * ci * self.values[i]
-            for j in range(i + 1, n):
-                if coords[j]:
-                    acc = acc + ci * coords[j] * self.polar[i, j]
+        acc = self.polar.field.zero
+        for ci, v in zip(coords, self.values):
+            if ci and v:
+                acc = acc + ci * ci * v
+        for i, j, b in self.pairs:
+            if coords[i] and coords[j]:
+                acc = acc + coords[i] * coords[j] * b
         return acc
 
     def polar_eval(self, x, y):
@@ -590,6 +590,31 @@ class _IntegerBatch(_Batch):
         quad = {(i, j): form.values[i] if i == j else c for (i, j), c in polar.items() if i <= j}
         den = _common_denominator([*quad.values(), *polar.values()])
         return den, _numerators(quad, den), _numerators(polar, den)
+
+    def draw(self, rng, count, arity):
+        """The elements ``_Batch.draw`` draws, from the same randrange calls in
+        the same order, without building Scalars: a coordinate of Q is
+        numerator then denominator, one of Q(w) is denominator, then a, then
+        b.  The rows equal ``rows`` of those elements up to the reduction of
+        each coordinate."""
+        rand, dim = rng.randrange, self.algebra.dim
+
+        def omega_coordinate():
+            d = rand(1, 8)
+            return rand(-9, 10), rand(-9, 10), d
+
+        def rational_coordinate():
+            return rand(-9, 10), 0, rand(1, 8)
+
+        coordinate = (omega_coordinate if isinstance(self.field, RationalOmegaField)
+                      else rational_coordinate)
+        draws = [coordinate() for _ in range(count * arity * dim)]
+        draws = np.array(draws, dtype=np.int64).reshape(count, arity, dim, 3)
+        a, b, d = draws.transpose(3, 1, 0, 2)  # each (arity, count, dim)
+        den = np.lcm.reduce(d, axis=2)
+        a, b = a * (den[..., None] // d), b * (den[..., None] // d)
+        return tuple((a[n].astype(object), b[n].astype(object), den[n].astype(object))
+                     for n in range(arity))
 
     def rows(self, elements):
         reps = [[_zw_rep(c) for c in x.coords] for x in elements]

@@ -12,6 +12,16 @@ A ``LieAlgebra`` is a structure-constant algebra whose product is the
 bracket, so ad b_i is its ``left_mult_matrix(b_i)``.  Leibniz checks read
 both sides from the tensor: D(b_i*b_j) is D applied to a tensor row, and
 D(b_i)*b_j + b_i*D(b_j) is ``product_tensor(D, I) + product_tensor(I, D)``.
+
+Over fields with lookup tables (``_kernels.supports_field``) the derivation
+analysis runs on table-encoded integer arrays in ``_encoded_lie``:
+``leibniz_system`` builds the encoded 512 x 64 system straight from the
+tensor entries, ``derivations`` reduces it with ``_kernels.rref_encoded``,
+``analyze_derivations`` holds maps as (n, 8, 8) stacks, and
+``is_simple_finite`` accepts an ``_encoded_lie.EncodedLie``.  The ``Scalar``
+functions here (``inner_derivation_span``, ``lie_close``, ``LieAlgebra`` and
+the rest) are the only path over Q, Q(w) and fields beyond the tables, and
+the reference the tests compare the encoded layer with.
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from . import polys
+import numpy as np
+
+from . import _encoded_lie, _kernels, polys
 from .algebra import StructureConstantAlgebra
 from .errors import BadCharacteristic, Inconclusive, InfiniteField, NotClosed, SingularMatrix
 from .linalg import Matrix, Subspace, nullspace, rref, spin
@@ -30,11 +42,14 @@ def _vec_to_map(field, vec, dim):
 
 
 def leibniz_system(algebra):
-    """The Leibniz conditions as a (dim^3) x (dim^2) matrix.
+    """The Leibniz conditions as a (dim^3) x (dim^2) system: an encoded
+    integer array over fields with lookup tables, else a Matrix.
 
     Unknown 8r+c is the (r, c) entry of the derivation matrix; D(b_j) is
     column j.
     """
+    if _kernels.supports_field(algebra.field):
+        return _encoded_lie.leibniz_system(algebra)
     field = algebra.field
     dim = algebra.dim
     zero = field.zero
@@ -59,7 +74,12 @@ def leibniz_system(algebra):
 
 def derivations(algebra):
     """The full derivation space as a Subspace of flattened dim x dim maps."""
-    return nullspace(leibniz_system(algebra))
+    system = leibniz_system(algebra)
+    if isinstance(system, Matrix):
+        return nullspace(system)
+    field = algebra.field
+    basis = _kernels.nullspace_encoded(field, system)
+    return Subspace(field, algebra.dim**2, _kernels.decode_rows(field, basis))
 
 
 def leibniz_holds(algebra, dmat):
@@ -263,13 +283,17 @@ def is_simple_finite(lie, seed=0, max_trials=20):
     algebra of the ad maps, factor its characteristic polynomial, and apply
     Norton's criterion on an irreducible factor of minimal nullity.  The
     random stream is deterministic in ``seed``; Inconclusive is raised when
-    the retry budget runs out without a proof either way.
+    the retry budget runs out without a proof either way.  ``lie`` is a
+    LieAlgebra, or an ``_encoded_lie.EncodedLie``, whose test draws the same
+    stream.
     """
     field = lie.field
     if field.cardinality is None:
         raise InfiniteField("simplicity test requires a finite base field")
     if lie.dim == 0:
         return False
+    if isinstance(lie, _encoded_lie.EncodedLie):
+        return _encoded_lie.is_simple(lie, seed, max_trials)
     if derived_subalgebra(lie).dim != lie.dim:
         return False
     if center_of(lie).dim != 0:
@@ -530,10 +554,24 @@ class DerivationAnalysis:
         return out
 
 
+def _simplicity(derived, seed, max_trials, notes):
+    """``is_simple_finite`` of the derived algebra, or None with a note."""
+    if derived.field.cardinality is None:
+        notes.append("simplicity certificate restricted to finite fields")
+        return None
+    try:
+        return is_simple_finite(derived, seed=seed, max_trials=max_trials)
+    except Inconclusive as exc:
+        notes.append(str(exc))
+        return None
+
+
 def analyze_derivations(algebra, seed=0, max_trials=20):
     """Compute the derivation profile of an algebra (drives the CLI report)."""
     field = algebra.field
     der = derivations(algebra)
+    if _kernels.supports_field(field):
+        return _encoded_analysis(algebra, der, seed, max_trials)
     inner = inner_derivation_span(algebra)
     der_lie = lie_close(der)
     derived = derived_subalgebra(der_lie)
@@ -541,14 +579,7 @@ def analyze_derivations(algebra, seed=0, max_trials=20):
         field, algebra.dim**2, [m.to_vec() for m in derived.maps]
     )
     notes = []
-    simple = None
-    if field.cardinality is not None:
-        try:
-            simple = is_simple_finite(derived, seed=seed, max_trials=max_trials)
-        except Inconclusive as exc:
-            notes.append(str(exc))
-    else:
-        notes.append("simplicity certificate restricted to finite fields")
+    simple = _simplicity(derived, seed, max_trials, notes)
     grading_dims = None
     if field.characteristic == 3 and algebra.grading is not None:
         grading_dims = _grading_on(algebra, der).dims
@@ -561,6 +592,36 @@ def analyze_derivations(algebra, seed=0, max_trials=20):
         derived_equals_inner=derived_span == inner,
         killing_rank_derived=killing_rank(derived),
         center_dim_derived=center_of(derived).dim,
+        derived_simple=simple,
+        grading_dims=grading_dims,
+        seed=seed,
+        notes=notes,
+    )
+
+
+def _encoded_analysis(algebra, der, seed, max_trials):
+    """``analyze_derivations`` over a field with lookup tables, given the
+    derivation space ``der``."""
+    field = algebra.field
+    der_basis = _kernels.encode_rows(field, der.basis).reshape(der.dim, algebra.dim**2)
+    C = _encoded_lie.encoded_tensor(algebra)
+    inner = _encoded_lie.inner_span(algebra, C)
+    derived = _encoded_lie.derived(_encoded_lie.lie_close(field, der_basis))
+    derived_span = _kernels.span_encoded(field, derived.maps.reshape(derived.dim, -1))
+    notes = []
+    simple = _simplicity(derived, seed, max_trials, notes)
+    grading_dims = None
+    if field.characteristic == 3 and algebra.grading is not None:
+        grading_dims = _encoded_lie.grading(algebra, der_basis)["dims"]
+    return DerivationAnalysis(
+        field_spec=field.spec_string(),
+        dim_der=der.dim,
+        dim_inner=len(inner),
+        inner_equals_der=np.array_equal(inner, der_basis),
+        dim_derived=derived.dim,
+        derived_equals_inner=np.array_equal(derived_span, inner),
+        killing_rank_derived=_encoded_lie.killing_rank(derived),
+        center_dim_derived=_encoded_lie.center_dim(derived),
         derived_simple=simple,
         grading_dims=grading_dims,
         seed=seed,

@@ -2,10 +2,15 @@
 
 Coefficient lists are constant-first with no trailing zeros; [] is the zero
 polynomial.  Only what the irreducibility and factorization routines need:
-factoring degree <= 8 polynomials over small finite fields by trial division
-with low-degree irreducibles, and checking the modulus of every GF(p^k).  A
-polynomial of degree <= 9 with no irreducible factor of degree <= 4 is itself
-irreducible, so trial division is complete at this scale.
+factoring the characteristic polynomials of the MeatAxe over finite fields,
+and checking the modulus of every GF(p^k).
+
+``factor_into_irreducibles`` is deterministic and holds no random state:
+squarefree decomposition, then distinct-degree factorization (Cantor and
+Zassenhaus, Math. Comp. 36, 1981), then Berlekamp's deterministic splitting
+of each equal-degree part.  Its cost depends on the polynomial, not on a
+seed.  The tests compare it with trial division by every monic irreducible
+of degree <= 4 (``irreducible_polys``).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import InfiniteField
+from .linalg import Matrix, nullspace
 
 
 def trim(coeffs):
@@ -109,29 +115,155 @@ def irreducible_polys(field, deg):
             yield cand
 
 
-def factor_into_irreducibles(poly, field):
-    """Monic irreducible factors (with multiplicity) of a degree <= 8 polynomial.
+def _factor_key(f):
+    return (degree(f), [repr(c.rep) for c in f])
 
-    Trial division by irreducibles of degree 1..4; whatever remains has no
-    factor of degree <= 4 and degree <= 8 < 2*5, hence is irreducible.
-    """
+
+def factor_into_irreducibles(poly, field):
+    """Monic irreducible factors (with multiplicity, sorted by degree and
+    coefficients) of a degree <= 8 polynomial over a finite field."""
     if degree(poly) > 8:
         raise ValueError("factorization supported only up to degree 8")
+    if field.cardinality is None:
+        raise InfiniteField("cannot factor over an infinite field")
     factors = []
-    rest = monic(poly)
-    for d in range(1, 5):
-        if degree(rest) < 2 * d:
-            break
-        for irr in irreducible_polys(field, d):
-            while degree(rest) >= d:
-                q, rem = poly_divmod(rest, irr, field)
-                if rem:
+    for part, mult in _squarefree_parts(monic(poly), field):
+        for same_degree, d in _distinct_degree_parts(part, field):
+            factors.extend(f for f in _equal_degree_split(same_degree, d, field)
+                           for _ in range(mult))
+    factors.sort(key=_factor_key)
+    return factors
+
+
+def _poly_sub(a, b, field):
+    n = max(len(a), len(b))
+    zero = field.zero
+    return trim([(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
+                 for i in range(n)])
+
+
+def _poly_gcd(a, b, field):
+    """The monic gcd; gcd(a, 0) = monic(a)."""
+    while b:
+        a, b = b, poly_divmod(a, b, field)[1]
+    return monic(a)
+
+
+def _poly_powmod(base, e, mod, field):
+    out = [field.one]
+    base = poly_divmod(base, mod, field)[1]
+    while e:
+        if e & 1:
+            out = poly_divmod(poly_mul(out, base, field), mod, field)[1]
+        base = poly_divmod(poly_mul(base, base, field), mod, field)[1]
+        e >>= 1
+    return out
+
+
+def _squarefree_parts(f, field):
+    """Pairs (g, m), g squarefree and monic, with f = prod g^m (f monic)."""
+    if degree(f) < 1:
+        return []
+    deriv = trim([c * field.from_int(i) for i, c in enumerate(f)][1:])
+    c = _poly_gcd(f, deriv, field)
+    w = poly_divmod(f, c, field)[0]
+    parts, m = [], 1
+    while degree(w) > 0:
+        y = _poly_gcd(w, c, field)
+        z = poly_divmod(w, y, field)[0]
+        if degree(z) > 0:
+            parts.append((z, m))
+        w, c, m = y, poly_divmod(c, y, field)[0], m + 1
+    if degree(c) > 0:
+        # c is a polynomial in x^p: take the p-th root of each coefficient,
+        # a^(q/p), since a^q = a
+        p = field.characteristic
+        root = [c[i] ** (field.cardinality // p) for i in range(0, len(c), p)]
+        parts.extend((g, k * p) for g, k in _squarefree_parts(root, field))
+    return parts
+
+
+def _frobenius_rows(f, field):
+    """Rows x^(q i) mod f for i < deg f, padded to deg f.  Coefficients lie
+    in GF(q), so h^q = h(x^q) and h^q mod f is the row combination h Q."""
+    n = degree(f)
+    zero, one = field.zero, field.one
+    x_q = _poly_powmod([zero, one], field.cardinality, f, field)
+    rows, power = [], [one]
+    for _ in range(n):
+        rows.append(power + [zero] * (n - len(power)))
+        power = poly_divmod(poly_mul(power, x_q, field), f, field)[1]
+    return rows
+
+
+def _apply_frobenius(h, rows, field):
+    """h^q mod f, for deg h < deg f and the ``_frobenius_rows`` of f."""
+    out = [field.zero] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] = out[j] + c * r
+    return trim(out)
+
+
+def _distinct_degree_parts(f, field):
+    """Pairs (g, d): g is the product of the irreducible factors of degree d
+    of the squarefree monic f."""
+    x = [field.zero, field.one]
+    rows = _frobenius_rows(f, field)
+    parts, d, h = [], 1, x
+    while degree(f) >= 2 * d:
+        h = _apply_frobenius(h, rows, field)
+        g = _poly_gcd(f, _poly_sub(h, x, field), field)
+        if degree(g) > 0:
+            parts.append((g, d))
+            f = poly_divmod(f, g, field)[0]
+            h = poly_divmod(h, f, field)[1]
+            n = degree(f)
+            rows = [poly_divmod(r, f, field)[1] for r in rows[:n]]
+            rows = [r + [field.zero] * (n - len(r)) for r in rows]
+        d += 1
+    if degree(f) > 0:
+        parts.append((f, degree(f)))
+    return parts
+
+
+def _equal_degree_split(f, d, field):
+    """The irreducible factors of f, a squarefree monic product of
+    irreducibles of degree d, by Berlekamp's splitting.
+
+    The v with v^q = v mod f form an algebra whose dimension is the number of
+    factors; each v is a constant c_i mod the i-th factor.  Its RREF basis is
+    the nullspace of Q - I (Q from ``_frobenius_rows``), and gcd(h, v - c)
+    over the constants c splits every current factor h on which v is not
+    constant.  A basis separates all the factors, so the splitting is
+    complete and uses no random choices.
+    """
+    n = degree(f)
+    if n <= d:
+        return [f]
+    zero, one = field.zero, field.one
+    rows = _frobenius_rows(f, field)
+    fixed = Matrix(field, [
+        [rows[i][j] - (one if i == j else zero) for i in range(n)] for j in range(n)
+    ])
+    factors = [f]
+    for v in nullspace(fixed).basis:
+        v = trim(v)
+        if degree(v) < 1:
+            continue
+        split = []
+        for h in factors:
+            found = 0
+            for c in field.elements():
+                if found == degree(h):
                     break
-                factors.append(irr)
-                rest = q
-            if degree(rest) < 2 * d:
-                break
-    if degree(rest) >= 1:
-        factors.append(rest)
-    factors.sort(key=lambda f: (degree(f), [repr(c.rep) for c in f]))
+                g = _poly_gcd(h, _poly_sub(v, [c], field), field)
+                if degree(g) > 0:
+                    split.append(g)
+                    found += degree(g)
+        factors = split
+        if len(factors) == n // d:
+            break
     return factors

@@ -124,6 +124,31 @@ class TestNorm:
             y = algebra.random_element(rng)
             assert algebra.norm_polar(x, y) == algebra.norm(x + y) - algebra.norm(x) - algebra.norm(y)
 
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(7)", "q(w)"])
+    def test_evaluate_is_the_defining_sum(self, spec):
+        # random forms with zero and nonzero values and polar entries
+        field = field_from_spec(spec)
+        rng = random.Random(47)
+        for _ in range(20):
+            values = [field.random_scalar(rng) if rng.random() < 0.5 else field.zero
+                      for _ in range(6)]
+            polar = [[values[i] + values[i] if i == j else None for j in range(6)]
+                     for i in range(6)]
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    c = field.random_scalar(rng) if rng.random() < 0.5 else field.zero
+                    polar[i][j] = polar[j][i] = c
+            form = QuadraticForm(values, Matrix(field, polar))
+            for _ in range(10):
+                a = [field.random_scalar(rng) if rng.random() < 0.7 else field.zero
+                     for _ in range(6)]
+                want = field.zero
+                for i in range(6):
+                    want = want + a[i] * a[i] * values[i]
+                    for j in range(i + 1, 6):
+                        want = want + a[i] * a[j] * polar[i][j]
+                assert form.evaluate(a) == want
+
     def test_no_form_error(self, gf3, okubo_gf3):
         bare = StructureConstantAlgebra(
             gf3, 8, OKUBO_LABELS,
@@ -228,6 +253,23 @@ class TestIntegerBatch:
     )
     def test_identity_batch_choice(self, spec, kind):
         assert type(identity_batch(build_split_okubo(field_from_spec(spec)))) is kind
+
+    @pytest.mark.parametrize("spec", ["q", "q(w)"])
+    def test_draw_matches_random_elements(self, spec):
+        # the Scalar-free draw gives the values of random_element's Scalars,
+        # from the same randrange calls, so the stream ends where it would
+        algebra = build_split_okubo(field_from_spec(spec))
+        batch = _IntegerBatch(algebra)
+        for seed in range(4):
+            rng, ref = random.Random(seed), random.Random(seed)
+            X, Y = batch.draw(rng, 25, 2)
+            elements = [[algebra.random_element(ref) for _ in range(2)] for _ in range(25)]
+            for n, rows in enumerate((X, Y)):
+                want = batch.rows([pair[n] for pair in elements])
+                assert batch.equal(rows, want).all()
+                for r in range(25):
+                    assert batch.coords_text(rows, r) == tuple(map(str, elements[r][n].coords))
+            assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("spec", ["q", "q(w)"])
     def test_algebra_matches_object_path(self, spec):

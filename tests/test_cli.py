@@ -61,6 +61,14 @@ class TestSubcommands:
         assert report["results"]["dim_der"] == 8
         assert report["results"]["checks"]["der_equals_inner"]
 
+    @pytest.mark.parametrize("field,seed", [("gf(3^2;t^2+1)", "9"), ("gf(7)", "14")])
+    def test_derivations_former_seed_tails(self, capsys, field, seed):
+        # the slowest seeds over 0-99 when characteristic polynomials were
+        # factored by trial division (17.7 s and 1.8 s)
+        code, report = run_cli(capsys, "derivations", "--field", field, "--seed", seed)
+        assert code == 0 and report["passed"]
+        assert report["results"]["simple"] is True
+
     def test_derivations_gf2_reported_only(self, capsys):
         code, report = run_cli(capsys, "derivations", "--field", "gf(2)")
         assert code == 0 and report["passed"]

@@ -1,7 +1,10 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from okubo import _encoded_lie, _kernels, liealg
 from okubo.errors import BadCharacteristic, InfiniteField, NotClosed, SingularMatrix
 from okubo.fields import GF, field_from_spec, rationals_omega
 from okubo.liealg import (
@@ -19,12 +22,14 @@ from okubo.liealg import (
     killing_form,
     killing_rank,
     leibniz_holds,
+    leibniz_system,
     lie_close,
     minus_algebra,
     verify_block_bracket,
 )
 from okubo.linalg import Matrix, Subspace
 from okubo.models import build_sl3_model, build_split_okubo
+from test_algebra import mutated_okubo, with_entry
 
 
 def abelian_algebra(field):
@@ -303,3 +308,171 @@ def test_analysis_summary_gf3(okubo_gf3):
     assert s["center_dim"] == 0
     assert s["simple"] is True
     assert s["grading_dims"]["(0,0)"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the encoded layer against the Scalar functions
+# ---------------------------------------------------------------------------
+
+TABLE_FIELDS = ["gf(2)", "gf(2^2;t^2+t+1)", "gf(3)", "gf(5)", "gf(7)", "gf(3^2;t^2+1)"]
+
+
+def scalar_path():
+    """Send every dispatch on lookup tables to the Scalar functions."""
+    return mock.patch.object(_kernels, "supports_field", lambda field: False)
+
+
+def encoded(field, rows):
+    return _kernels.encode_rows(field, rows).reshape(len(rows), -1)
+
+
+@pytest.fixture(scope="module", params=TABLE_FIELDS)
+def both_paths(request):
+    """The Okubo algebra over a field with tables, with every stage of the
+    derivation analysis on the Scalar path and on the encoded path."""
+    field = field_from_spec(request.param)
+    algebra = build_split_okubo(field)
+    with scalar_path():
+        system = leibniz_system(algebra)
+        der = derivations(algebra)
+    der_lie = lie_close(der)
+    scalar = {"system": system, "der": der, "inner": inner_derivation_span(algebra),
+              "der_lie": der_lie, "derived": derived_subalgebra(der_lie)}
+    D = _kernels.nullspace_encoded(field, leibniz_system(algebra))
+    enc_der_lie = _encoded_lie.lie_close(field, D)
+    enc = {"system": leibniz_system(algebra), "der": D,
+           "inner": _encoded_lie.inner_span(algebra, _encoded_lie.encoded_tensor(algebra)),
+           "der_lie": enc_der_lie, "derived": _encoded_lie.derived(enc_der_lie)}
+    return algebra, scalar, enc
+
+
+class TestEncodedLayer:
+    def test_leibniz_system_and_derivation_space(self, both_paths):
+        algebra, scalar, enc = both_paths
+        field = algebra.field
+        assert isinstance(scalar["system"], Matrix)
+        assert np.array_equal(enc["system"], encoded(field, scalar["system"].rows))
+        assert np.array_equal(enc["der"], encoded(field, scalar["der"].basis))
+        assert derivations(algebra) == scalar["der"]
+
+    def test_inner_span(self, both_paths):
+        algebra, scalar, enc = both_paths
+        assert np.array_equal(enc["inner"], encoded(algebra.field, scalar["inner"].basis))
+
+    def test_lie_close_bracket_tensor(self, both_paths):
+        algebra, scalar, enc = both_paths
+        lie, n = scalar["der_lie"], scalar["der_lie"].dim
+        flat = [c for row in lie.tensor for coords in row for c in coords]
+        assert enc["der_lie"].tensor.shape == (n, n, n)
+        assert np.array_equal(enc["der_lie"].tensor.reshape(1, -1), encoded(algebra.field, [flat]))
+        maps = [m.to_vec() for m in lie.maps]
+        assert np.array_equal(enc["der_lie"].maps.reshape(n, -1), encoded(algebra.field, maps))
+
+    def test_derived_span_killing_rank_and_center(self, both_paths):
+        algebra, scalar, enc = both_paths
+        field, derived = algebra.field, scalar["derived"]
+        span = Subspace.from_vectors(field, 64, [m.to_vec() for m in derived.maps])
+        enc_derived = enc["derived"]
+        enc_span = _kernels.span_encoded(field, enc_derived.maps.reshape(enc_derived.dim, -1))
+        assert np.array_equal(enc_span, encoded(field, span.basis))
+        for lie, enc_lie in ((derived, enc["derived"]), (scalar["der_lie"], enc["der_lie"])):
+            assert _encoded_lie.killing_rank(enc_lie) == killing_rank(lie)
+            assert _encoded_lie.center_dim(enc_lie) == center_of(lie).dim
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(3^2;t^2+1)"])
+    def test_grading(self, spec):
+        algebra = build_split_okubo(field_from_spec(spec))
+        with scalar_path():
+            want = grading_on_derivations(algebra).summary()
+        D = _kernels.nullspace_encoded(algebra.field, leibniz_system(algebra))
+        got = liealg.DerGradingReport(**_encoded_lie.grading(algebra, D)).summary()
+        assert got == want and got["passed"]
+
+    def test_simplicity_at_seeds_0_to_19(self, both_paths):
+        _, scalar, enc = both_paths
+        for seed in range(20):
+            for lie, enc_lie in ((scalar["derived"], enc["derived"]),
+                                 (scalar["der_lie"], enc["der_lie"])):
+                assert is_simple_finite(enc_lie, seed=seed) == is_simple_finite(lie, seed=seed)
+
+    def test_analysis_report(self, both_paths):
+        algebra, _, _ = both_paths
+        for seed in (0, 9):
+            with scalar_path():
+                want = analyze_derivations(algebra, seed=seed).summary()
+            assert analyze_derivations(algebra, seed=seed).summary() == want
+
+
+def analysis_outcome(algebra):
+    """The derivation report, or the check that raised."""
+    try:
+        return analyze_derivations(algebra).summary()
+    except (AssertionError, NotClosed, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestEncodedFaultInjection:
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "gf(3^2;t^2+1)"])
+    def test_one_entry_mutants_caught(self, spec):
+        """Each nonzero entry negated, and a one at 8 zero positions: on the
+        encoded path the derivation space changes or a check fails, and the
+        outcome is the Scalar path's."""
+        field = field_from_spec(spec)
+        base = build_split_okubo(field)
+        der = derivations(base)
+        zeros = [(i, j, k) for i in range(8) for j in range(8) for k in range(8)
+                 if not base.tensor[i][j][k]]
+        mutants = [mutated_okubo(field, w) for w in range(len(base.entries))]
+        mutants += [with_entry(base, p, field.one) for p in random.Random(0).sample(zeros, 8)]
+        for mutant in mutants:
+            outcome = analysis_outcome(mutant)
+            assert isinstance(outcome, tuple) or derivations(mutant) != der
+            with scalar_path():
+                assert analysis_outcome(mutant) == outcome
+                scalar_der = derivations(mutant)
+            assert derivations(mutant) == scalar_der
+
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(7)", "gf(3^2;t^2+1)"])
+    def test_corrupted_commutator_not_closed(self, spec, monkeypatch):
+        field = field_from_spec(spec)
+        D = _kernels.nullspace_encoded(field, leibniz_system(build_split_okubo(field)))
+        _encoded_lie.lie_close(field, D)
+        commutators = _encoded_lie.commutators
+        t = _kernels.tables_for(field)
+        for position in (0, 27, 63):
+            def corrupted(field, maps, position=position):
+                out = commutators(field, maps).copy()
+                out[1, position] = t.add[out[1, position], 1]
+                return out
+
+            monkeypatch.setattr(_encoded_lie, "commutators", corrupted)
+            with pytest.raises(NotClosed):
+                _encoded_lie.lie_close(field, D)
+
+    def test_jacobi_violation_rejected(self, gf3):
+        z, o, two = 0, 1, 2  # encoded gf(3)
+        tensor = np.zeros((3, 3, 3), dtype=np.int64)
+        # [e,f]=h, [h,e]=2e, [h,f]=-2f, as in test_construction_validates_jacobi
+        tensor[0, 1, 2], tensor[1, 0, 2] = o, two
+        tensor[2, 0, 0], tensor[0, 2, 0] = two, o
+        tensor[2, 1, 1], tensor[1, 2, 1] = o, two
+        _encoded_lie.EncodedLie(gf3, tensor)
+        bad = tensor.copy()
+        bad[2, 0, 0], bad[0, 2, 0] = o, two  # breaks Jacobi, keeps antisymmetry
+        with pytest.raises(ValueError, match="Jacobi"):
+            _encoded_lie.EncodedLie(gf3, bad)
+        bad = tensor.copy()
+        bad[0, 1, 2] = z
+        with pytest.raises(ValueError, match="antisymmetric"):
+            _encoded_lie.EncodedLie(gf3, bad)
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)"])
+    def test_bracket_tensor_of_der_with_broken_jacobi(self, spec):
+        field = field_from_spec(spec)
+        t = _kernels.tables_for(field)
+        D = _kernels.nullspace_encoded(field, leibniz_system(build_split_okubo(field)))
+        tensor = _encoded_lie.lie_close(field, D).tensor.copy()
+        tensor[0, 1, 2] = t.add[tensor[0, 1, 2], 1]
+        tensor[1, 0, 2] = t.neg[tensor[0, 1, 2]]
+        with pytest.raises(ValueError, match="Jacobi"):
+            _encoded_lie.EncodedLie(field, tensor)

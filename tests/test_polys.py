@@ -1,13 +1,38 @@
+import itertools
 import random
 
 import pytest
 
 from okubo import polys
-from okubo.fields import GF
+from okubo.fields import GF, field_from_spec
 
 
 def P(field, ints):
     return [field.from_int(c) for c in ints]
+
+
+def factor_by_trial_division(poly, field):
+    """The reference factorization: monic irreducible factors (with
+    multiplicity, sorted) of a degree <= 8 polynomial, by trial division
+    with the irreducibles of degree 1..4.  Whatever remains has no factor of
+    degree <= 4 and degree <= 8 < 2*5, hence is irreducible."""
+    factors = []
+    rest = polys.monic(poly)
+    for d in range(1, 5):
+        if polys.degree(rest) < 2 * d:
+            break
+        for irr in polys.irreducible_polys(field, d):
+            while polys.degree(rest) >= d:
+                q, rem = polys.poly_divmod(rest, irr, field)
+                if rem:
+                    break
+                factors.append(irr)
+                rest = q
+            if polys.degree(rest) < 2 * d:
+                break
+    if polys.degree(rest) >= 1:
+        factors.append(rest)
+    return sorted(factors, key=polys._factor_key)
 
 
 class TestIrreducibility:
@@ -71,6 +96,47 @@ class TestFactorization:
                         assert rem
                 return
         pytest.fail("no irreducible degree-8 polynomial found in 200 samples")
+
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)"])
+    def test_matches_trial_division_on_every_small_monic(self, spec):
+        field = field_from_spec(spec)
+        for deg in range(5):
+            for tail in itertools.product(list(field.elements()), repeat=deg):
+                f = list(tail) + [field.one]
+                assert polys.factor_into_irreducibles(f, field) == \
+                    factor_by_trial_division(f, field)
+
+    @pytest.mark.parametrize("spec", ["gf(7)", "gf(3^2;t^2+1)"])
+    def test_seeded_octic_products(self, spec):
+        field = field_from_spec(spec)
+        rng = random.Random(8)
+        irreds = {d: list(polys.irreducible_polys(field, d)) for d in (1, 2, 3)}
+        for trial in range(30):
+            chosen, total = [], 0
+            while total < 8:
+                d = rng.choice([d for d in (1, 2, 3) if total + d <= 8])
+                chosen.append(rng.choice(irreds[d][:3]))  # few choices, so repeats
+                total += d
+            prod = [field.one]
+            for f in chosen:
+                prod = polys.poly_mul(prod, f, field)
+            factors = polys.factor_into_irreducibles(prod, field)
+            assert factors == sorted(chosen, key=polys._factor_key)
+            if trial < 5:
+                assert factors == factor_by_trial_division(prod, field)
+
+    @pytest.mark.parametrize("spec,ints,power", [
+        ("gf(2)", [1, 1], 8),  # (x+1)^8: a p-th power, derivative 0
+        ("gf(3)", [2, 1, 1], 3),  # (x^2+x+2)^3
+        ("gf(3^2;t^2+1)", [1, 1], 6),  # (x+1)^6
+    ])
+    def test_powers(self, spec, ints, power):
+        field = field_from_spec(spec)
+        g = P(field, ints)
+        prod = [field.one]
+        for _ in range(power):
+            prod = polys.poly_mul(prod, g, field)
+        assert polys.factor_into_irreducibles(prod, field) == [g] * power
 
     def test_degree_cap(self, gf3):
         with pytest.raises(ValueError):
