@@ -1,17 +1,30 @@
-"""The derivation analysis of ``liealg`` on table-encoded integer arrays.
+"""The derivation analysis of ``liealg`` on exact arrays.
 
-Over fields with lookup tables (``_kernels.supports_field``) elements are
-their enumeration indices, 0 is zero and 1 is one.  A linear map is an
-encoded square array, a family of maps an (n, d, d) stack, a subspace its
-canonical RREF basis, and every product is one call of
-``_kernels.batch_matmul``.  Each function mirrors a ``Scalar`` function of
-``liealg``, which is the reference the tests compare it with:
-``leibniz_system``, ``inner_span`` (with the Leibniz check of each ad*_u),
-``lie_close``, ``EncodedLie`` (a ``LieAlgebra``: antisymmetry and Jacobi
-are checked on construction), ``derived``, ``killing_rank``,
+``arrays_for`` picks the array backend from the field:
+
+* ``TableArrays``, over fields with lookup tables
+  (``_kernels.supports_field``): elements are their enumeration indices in
+  int64 arrays (0 is zero, 1 is one), and arithmetic goes through the
+  tables;
+* ``_zw.ZwArrays``, over Q and Q(w): numerators a + b*w as numpy object
+  arrays of Python ints over one positive denominator.
+
+Both have the same operations (``array``, ``decode``, ``add``, ``sub``,
+``neg``, ``mul``, ``matmul``, ``nonzero``, ``equal`` and ``rref``), and
+everything here is written once on them, apart from the Leibniz system (the
+Q and Q(w) one stays a ``Matrix`` for ``linalg``'s RREF), the grading
+(characteristic 3) and the MeatAxe (finite fields), which are for fields
+with tables only.  A linear map is a square array, a family of
+maps an (n, d, d) stack, a subspace its canonical RREF basis, and every
+product of maps is one ``matmul``.  Each function mirrors a ``Scalar``
+function of ``liealg``, which is the reference the tests compare it with:
+``leibniz_system`` (tables only), ``inner_span`` (with the Leibniz check of
+each ad*_u), ``lie_close``, ``EncodedLie`` (a ``LieAlgebra``: antisymmetry
+and Jacobi are checked on construction), ``derived``, ``killing_rank``,
 ``center_dim``, ``grading`` (``_grading_on``) and ``is_simple``
 (``is_simple_finite``), whose MeatAxe draws the same random stream in the
-same order, so its verdicts do not depend on the representation.
+same order, so its verdicts do not depend on the representation.  The sl3
+matrix model (``models.Sl3Model``) runs on the same backends.
 """
 
 from __future__ import annotations
@@ -21,17 +34,93 @@ import random
 
 import numpy as np
 
-from . import _kernels, polys
+from . import _kernels, _zw, polys
 from .errors import Inconclusive, NotClosed
 
 
-def encoded_tensor(algebra):
-    """The structure tensor as an encoded (dim, dim, dim) array."""
-    dim = algebra.dim
-    out = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, j, k, c in algebra.entries:
-        out[i, j, k] = algebra.field.element_index(c)
-    return out
+def arrays_for(field):
+    """The exact array backend of a field: ``_zw.ZwArrays`` over Q and Q(w),
+    ``TableArrays`` over a field with lookup tables, and None beyond the
+    tables, where the ``Scalar`` functions serve."""
+    if field.characteristic == 0:
+        return _zw.ZwArrays(field)
+    if _kernels.supports_field(field):
+        return TableArrays(field)
+    return None
+
+
+class TableArrays:
+    """The exact array backend over a field with lookup tables: int64 arrays
+    of encoded elements, with arithmetic through the tables."""
+
+    def __init__(self, field):
+        self.field = field
+        self.tables = _kernels.tables_for(field)
+
+    def array(self, scalars):
+        """A (nested sequence of) Scalar(s) as an encoded array of its shape."""
+        s = np.array(scalars, dtype=object)
+        index = self.field.element_index
+        return np.array([index(c) for c in s.ravel()], dtype=np.int64).reshape(s.shape)
+
+    def decode(self, x):
+        """The Scalars of an encoded array, as nested lists of its shape."""
+        return np.array(self.tables.elements, dtype=object)[x].tolist()
+
+    def add(self, x, y):
+        return self.tables.add[x, y]
+
+    def sub(self, x, y):
+        return self.tables.add[x, self.tables.neg[y]]
+
+    def neg(self, x):
+        return self.tables.neg[x]
+
+    def mul(self, x, y):
+        """Elementwise products, broadcast as numpy does."""
+        return self.tables.mul[x, y]
+
+    def matmul(self, x, y):
+        """Matrix products of stacks, broadcast as numpy's matmul does."""
+        return _kernels.batch_matmul(self.field, x, y)
+
+    def nonzero(self, x):
+        return x != 0
+
+    def equal(self, x, y):
+        return x == y
+
+    def rref(self, x):
+        return _kernels.rref_encoded(self.field, x)
+
+
+def span(ar, x):
+    """The canonical RREF basis of the row span of a 2-d array."""
+    red, pivots = ar.rref(x)
+    return red[: len(pivots)]
+
+
+def rank(ar, x):
+    return len(ar.rref(x)[1])
+
+
+def same(ar, x, y):
+    """Do two arrays have one shape and equal entries?"""
+    return x.shape == y.shape and bool(ar.equal(x, y).all())
+
+
+def coordinates(ar, basis, vectors):
+    """Coordinates (N, r) of vectors (N, n) in an RREF basis (r, n), read at
+    the pivots, and a bool per vector: does the recombination give it back?"""
+    pivots = [int(np.flatnonzero(row)[0]) for row in ar.nonzero(basis)]
+    coords = vectors[:, pivots]
+    inside = ar.equal(ar.matmul(coords, basis), vectors).all(axis=1)
+    return coords, inside
+
+
+def tensor_of(ar, algebra):
+    """The structure tensor as a (dim, dim, dim) array."""
+    return ar.array(algebra.tensor)
 
 
 def leibniz_system(algebra):
@@ -42,11 +131,10 @@ def leibniz_system(algebra):
     and no two entries share a cell within one term, so each term is one
     vectorized table addition.
     """
-    dim = algebra.dim
+    dim, index = algebra.dim, algebra.field.element_index
     t = _kernels.tables_for(algebra.field)
-    C = encoded_tensor(algebra)
-    i, j, k = (a[:, None] for a in np.nonzero(C))
-    c = C[i, j, k]
+    entries = [(i, j, k, index(c)) for i, j, k, c in algebra.entries]
+    i, j, k, c = np.array(entries, dtype=np.int64).reshape(-1, 4).T[:, :, None]
     m = np.arange(dim)[None, :]
     system = np.zeros((dim**3, dim * dim), dtype=np.int64)
     terms = (
@@ -59,52 +147,50 @@ def leibniz_system(algebra):
     return system
 
 
-def leibniz_holds(field, C, D):
-    """One bool per encoded map D[n] (a (N, dim, dim) stack): is it a
-    derivation of the algebra with encoded tensor C?  Both sides are read
-    from the tensor as in ``liealg.leibniz_holds``: D(b_i*b_j) against
-    D(b_i)*b_j + b_i*D(b_j)."""
-    t = _kernels.tables_for(field)
+def leibniz_holds(ar, C, D):
+    """One bool per map D[n] (a (N, dim, dim) stack): is it a derivation of
+    the algebra with tensor C?  Both sides are read from the tensor as in
+    ``liealg.leibniz_holds``: D(b_i*b_j) against D(b_i)*b_j + b_i*D(b_j)."""
     dim = C.shape[0]
     N = D.shape[0]
     Dt = D.transpose(0, 2, 1)
-    lhs = _kernels.batch_matmul(field, C.reshape(dim * dim, dim), Dt)
-    left = _kernels.batch_matmul(field, Dt, C.reshape(dim, dim * dim))
-    right = _kernels.batch_matmul(field, Dt[:, None], C[None])
-    ok = lhs.reshape(N, dim, dim, dim) == t.add[left.reshape(N, dim, dim, dim), right]
-    return ok.reshape(N, -1).all(axis=1)
+    lhs = ar.matmul(C.reshape(dim * dim, dim), Dt)
+    left = ar.matmul(Dt, C.reshape(dim, dim * dim))
+    right = ar.matmul(Dt[:, None], C[None])
+    rhs = ar.add(left.reshape(N, dim, dim, dim), right)
+    return ar.equal(lhs.reshape(N, dim, dim, dim), rhs).reshape(N, -1).all(axis=1)
 
 
-def ad_stars(field, C):
+def ad_stars(ar, C):
     """The stack of ad*_{b_i} = L_{b_i} - R_{b_i}: L[i][k][j] = c_ijk and
     R[i][k][m] = c_mik."""
-    t = _kernels.tables_for(field)
-    return t.add[C.transpose(0, 2, 1), t.neg[C.transpose(1, 2, 0)]]
+    return ar.sub(C.transpose(0, 2, 1), C.transpose(1, 2, 0))
 
 
-def inner_span(algebra, C):
-    """``liealg.inner_derivation_span`` as an encoded RREF basis; each
-    generator is verified against the Leibniz identity."""
-    field, dim = algebra.field, algebra.dim
-    ads = ad_stars(field, C)
-    ok = leibniz_holds(field, C, ads)
+def inner_span(ar, algebra, C):
+    """``liealg.inner_derivation_span`` as an RREF basis; each generator is
+    verified against the Leibniz identity."""
+    dim = algebra.dim
+    ads = ad_stars(ar, C)
+    ok = leibniz_holds(ar, C, ads)
     if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         raise AssertionError(f"ad*_{algebra.labels[bad]} is not a derivation")
-    return _kernels.span_encoded(field, ads.reshape(dim, dim * dim))
+    return span(ar, ads.reshape(dim, dim * dim))
 
 
 class EncodedLie:
-    """A Lie algebra over a field with lookup tables: the encoded bracket
-    tensor (n, n, n), [x_a, x_b] = sum_c tensor[a, b, c] x_c, and the (n, d, d)
+    """A Lie algebra on an exact array backend ``ar``: the bracket tensor
+    (n, n, n), [x_a, x_b] = sum_c tensor[a, b, c] x_c, and the (n, d, d)
     stack of the maps x_a, when it is an algebra of maps.
 
     Construction verifies [x,x] = 0 and antisymmetry on the basis and the
     Jacobi identity on all basis triples, as ``LieAlgebra`` does.
     """
 
-    def __init__(self, field, tensor, maps=None):
-        self.field = field
+    def __init__(self, ar, tensor, maps=None):
+        self.ar = ar
+        self.field = ar.field
         self.tensor = tensor
         self.maps = maps
         self._validate()
@@ -119,84 +205,78 @@ class EncodedLie:
         return self.tensor.transpose(0, 2, 1)
 
     def _validate(self):
-        t = _kernels.tables_for(self.field)
-        n, T = self.dim, self.tensor
-        if T[np.arange(n), np.arange(n)].any():
+        ar, n, T = self.ar, self.dim, self.tensor
+        if ar.nonzero(T[np.arange(n), np.arange(n)]).any():
             raise ValueError("bracket [x,x] != 0 on basis")
-        if (T != t.neg[T.transpose(1, 0, 2)]).any():
+        if not ar.equal(T, ar.neg(T.transpose(1, 0, 2))).all():
             raise ValueError("bracket tensor is not antisymmetric")
         # U[i, j, k] = [[x_i, x_j], x_k]; Jacobi is U[i,j,k] + U[j,k,i] + U[k,i,j] = 0
-        U = _kernels.batch_matmul(self.field, T.reshape(n * n, n), T.reshape(n, n * n))
-        U = U.reshape(n, n, n, n)
-        cyclic = t.add[t.add[U, U.transpose(2, 0, 1, 3)], U.transpose(1, 2, 0, 3)]
-        if cyclic.any():
+        U = ar.matmul(T.reshape(n * n, n), T.reshape(n, n * n)).reshape(n, n, n, n)
+        cyclic = ar.add(ar.add(U, U.transpose(2, 0, 1, 3)), U.transpose(1, 2, 0, 3))
+        if ar.nonzero(cyclic).any():
             raise ValueError("Jacobi identity fails on basis triple")
 
 
-def commutators(field, maps):
-    """All n^2 commutators [M_a, M_b] of an encoded (n, d, d) stack, flattened
-    to (n^2, d^2) in row-major (a, b) order."""
-    t = _kernels.tables_for(field)
+def commutators(ar, maps):
+    """All n^2 commutators [M_a, M_b] of an (n, d, d) stack, as one stacked
+    product, flattened to (n^2, d^2) in row-major (a, b) order."""
     n, d, _ = maps.shape
-    P = _kernels.batch_matmul(field, maps[:, None], maps[None, :])
-    return t.add[P, t.neg[P.transpose(1, 0, 2, 3)]].reshape(n * n, d * d)
+    P = ar.matmul(maps[:, None], maps[None, :])
+    return ar.sub(P, P.transpose(1, 0, 2, 3)).reshape(n * n, d * d)
 
 
-def lie_close(field, basis):
-    """``liealg.lie_close`` on an encoded RREF basis (n, d^2) of flattened maps.
+def lie_close(ar, basis):
+    """``liealg.lie_close`` on an RREF basis (n, d^2) of flattened maps.
 
     Raises NotClosed when a commutator escapes the span.
     """
     n = basis.shape[0]
     side = math.isqrt(basis.shape[1])
     maps = basis.reshape(n, side, side)
-    coords, inside = _kernels.coordinates_encoded(field, basis, commutators(field, maps))
+    coords, inside = coordinates(ar, basis, commutators(ar, maps))
     if not inside.all():
         raise NotClosed("subspace of maps is not closed under commutator")
-    return EncodedLie(field, coords.reshape(n, n, n), maps=maps)
+    return EncodedLie(ar, coords.reshape(n, n, n), maps=maps)
 
 
 def derived(lie):
     """``liealg.derived_subalgebra`` of an ``EncodedLie``."""
-    field, n, T = lie.field, lie.dim, lie.tensor
-    span = _kernels.span_encoded(field, T[np.triu_indices(n, 1)].reshape(-1, n))
-    m = span.shape[0]
+    ar, n, T = lie.ar, lie.dim, lie.tensor
+    s = span(ar, T[np.triu_indices(n, 1)])
+    m = s.shape[0]
     # partial[a, j] = [s_a, x_j]; brackets[a, b] = [s_a, s_b]
-    partial = _kernels.batch_matmul(field, span, T.reshape(n, n * n)).reshape(m, n, n)
-    brackets = _kernels.batch_matmul(field, span, partial).reshape(m * m, n)
-    coords, inside = _kernels.coordinates_encoded(field, span, brackets)
+    partial = ar.matmul(s, T.reshape(n, n * n)).reshape(m, n, n)
+    brackets = ar.matmul(s, partial).reshape(m * m, n)
+    coords, inside = coordinates(ar, s, brackets)
     if not inside.all():
         raise NotClosed("derived span not closed; bracket tensor inconsistent")
     maps = None
     if lie.maps is not None:
         _, d, _ = lie.maps.shape
-        maps = _kernels.batch_matmul(field, span, lie.maps.reshape(n, d * d)).reshape(m, d, d)
-    return EncodedLie(field, coords.reshape(m, m, m), maps=maps)
+        maps = ar.matmul(s, lie.maps.reshape(n, d * d)).reshape(m, d, d)
+    return EncodedLie(ar, coords.reshape(m, m, m), maps=maps)
 
 
 def killing_rank(lie):
     """Rank of K[i][j] = trace(ad x_i o ad x_j) = sum_km ad_i[k][m] ad_j[m][k]."""
-    n, ads = lie.dim, lie.ads
-    K = _kernels.batch_matmul(
-        lie.field, ads.reshape(n, n * n), ads.transpose(0, 2, 1).reshape(n, n * n).T
-    )
-    return len(_kernels.rref_encoded(lie.field, K)[1])
+    ar, n, ads = lie.ar, lie.dim, lie.ads
+    K = ar.matmul(ads.reshape(n, n * n), ads.transpose(0, 2, 1).reshape(n, n * n).T)
+    return rank(ar, K)
 
 
 def center_dim(lie):
     """dim of the center: the nullspace of the rows (j, k) over columns i of
     tensor[i, j, k], as in ``liealg.center_of``."""
     n = lie.dim
-    system = lie.tensor.transpose(1, 2, 0).reshape(n * n, n)
-    return n - len(_kernels.rref_encoded(lie.field, system)[1])
+    return n - rank(lie.ar, lie.tensor.transpose(1, 2, 0).reshape(n * n, n))
 
 
-def grading(algebra, der):
+def grading(ar, algebra, C, der):
     """The fields of the ``liealg.DerGradingReport`` that ``_grading_on``
-    makes, given the encoded RREF basis ``der`` of the derivation space.
-    The component of degree g is {c der : (c der) vanishes off the
-    coordinates (r, j) with deg b_r = deg b_j + g}, so its coefficients c
-    form the nullspace of the transposed off-degree columns."""
+    makes, given the tensor C and the RREF basis ``der`` of the derivation
+    space, over a field with tables.  The component of degree g is {c der : (c der)
+    vanishes off the coordinates (r, j) with deg b_r = deg b_j + g}, so its
+    coefficients c form the nullspace of the transposed off-degree columns."""
     field, dim = algebra.field, algebra.dim
     degree_to_index = {d: i for i, d in enumerate(algebra.grading)}
 
@@ -213,13 +293,12 @@ def grading(algebra, der):
         coeffs = _kernels.nullspace_encoded(field, der[:, off_degree(g)].T)
         if len(coeffs):
             dims[g] = len(coeffs)
-            parts.append(_kernels.batch_matmul(field, coeffs, der))
+            parts.append(ar.matmul(coeffs, der))
     stacked = np.concatenate(parts) if parts else der[:0]
-    fill = np.array_equal(_kernels.span_encoded(field, stacked), der)
-    ads = ad_stars(field, encoded_tensor(algebra))
-    cubes = _kernels.batch_matmul(field, _kernels.batch_matmul(field, ads, ads), ads)
-    cubes = cubes.reshape(dim, dim * dim)
-    _, in_der = _kernels.coordinates_encoded(field, der, cubes)
+    fill = np.array_equal(span(ar, stacked), der)
+    ads = ad_stars(ar, C)
+    cubes = ar.matmul(ar.matmul(ads, ads), ads).reshape(dim, dim * dim)
+    _, in_der = coordinates(ar, der, cubes)
     in_zero_part = ~cubes[:, off_degree((0, 0))].any(axis=1)
     return dict(
         dims=dims,
@@ -301,7 +380,8 @@ def is_simple(lie, seed, max_trials):
     The same trials as on Scalar matrices: the same enveloping elements, the
     same characteristic polynomials and factors, kernels with the same RREF
     bases, and the same spins.  f(theta^T) is f(theta)^T, and the powers of
-    theta serve every factor of one trial.
+    theta serve every factor of one trial.  The characteristic polynomial
+    is factored on its encoded coefficients (``polys.factor_encoded``).
     """
     field, n = lie.field, lie.dim
     t = _kernels.tables_for(field)
@@ -313,14 +393,12 @@ def is_simple(lie, seed, max_trials):
     products = _kernels.batch_matmul(field, gens[:, None], gens[None]).reshape(-1, n, n)
     words = np.concatenate([gens, products])
     words_t = words.transpose(0, 2, 1)  # the transposed gens and their products of two
-    els = t.elements
     rng = random.Random(seed)
     for _ in range(max_trials):
         theta = enveloping_element(field, gens, rng)
-        char = [els[c] for c in charpoly(field, theta)]
         # a repeated factor repeats the same kernel and spins, so it is
         # tested once
-        factors = polys.factor_into_irreducibles(char, field)
+        factors = polys.factor_encoded(charpoly(field, theta), field)
         factors = [f for i, f in enumerate(factors) if i == 0 or f != factors[i - 1]]
         powers = [np.eye(n, dtype=np.int64)]
         while len(powers) <= max(map(polys.degree, factors), default=0):
@@ -328,7 +406,7 @@ def is_simple(lie, seed, max_trials):
         for f in factors:
             f_of_theta = np.zeros((n, n), dtype=np.int64)
             for c, power in zip(f, powers):
-                f_of_theta = t.add[f_of_theta, t.mul[field.element_index(c), power]]
+                f_of_theta = t.add[f_of_theta, t.mul[c, power]]
             ker = _kernels.nullspace_encoded(field, f_of_theta)
             if len(ker) == 0:
                 continue

@@ -148,15 +148,6 @@ def nullspace_encoded(field, arr):
     return span_encoded(field, basis)
 
 
-def coordinates_encoded(field, basis, vectors):
-    """Coordinates (N, r) of encoded vectors (N, n) in an RREF basis (r, n),
-    and a bool per vector: does the basis span it?"""
-    pivots = (basis != 0).argmax(axis=1)
-    coords = vectors[:, pivots]
-    inside = (batch_matmul(field, coords, basis) == vectors).all(axis=1)
-    return coords, inside
-
-
 def batch_matmul(field, A, B):
     """Encoded products A @ B of (..., m, k) and (..., k, n) stacks, with the
     leading axes broadcast as numpy's matmul does."""

@@ -1,0 +1,208 @@
+"""Exact arithmetic over Q and Q(w) on numpy object arrays of Python ints.
+
+An element of Q(w) is (a + b*w)/d with integers a, b and d > 0, where
+w^2 = -1 - w; Q is the case b = 0.  Arrays hold the numerators a and b as
+numpy object arrays of Python ints, which never overflow, so nothing is
+truncated.  Two layers share this arithmetic:
+
+* ``algebra._IntegerBatch`` runs the identity checks of ``verify`` and
+  ``twist``, with one denominator per row;
+* ``ZwArrays`` is the exact array backend over Q and Q(w) of the derivation
+  analysis (``_encoded_lie``) and of the sl3 matrix model (``models``), with
+  one denominator per array.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .fields import RationalOmegaField, Scalar
+
+
+def rep(s):
+    """(a, b, d) with s = (a + b*w)/d, for a Scalar of Q or Q(w)."""
+    r = s.rep
+    return (r[0], 0, r[1]) if len(r) == 2 else r
+
+
+def mul(a1, b1, a2, b2):
+    """(a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w, on ints or arrays."""
+    bb = b1 * b2
+    return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
+
+
+def matmul(a1, b1, a2, b2):
+    """``mul`` with matrix products: three of them, (a1 + b1)(a2 + b2) giving
+    the cross terms, and one where both operands are rational."""
+    aa = a1 @ a2
+    if not (b1.any() or b2.any()):
+        return aa, np.zeros(aa.shape, dtype=object)
+    bb = b1 @ b2
+    return aa - bb, (a1 + b1) @ (a2 + b2) - aa - bb - bb
+
+
+def common_denominator(scalars):
+    """The least common denominator of Scalars of Q or Q(w)."""
+    return math.lcm(1, *(rep(s)[2] for s in scalars))
+
+
+def numerators(coeffs, den):
+    """{key: (a, b)} with coeffs[key] = (a + b*w)/den, for the nonzero values
+    of a dict of Scalars of Q or Q(w) whose denominators divide den."""
+    out = {}
+    for key, s in coeffs.items():
+        if s:
+            a, b, d = rep(s)
+            out[key] = (a * (den // d), b * (den // d))
+    return out
+
+
+class ZwArray:
+    """The array (a + b*w)/den: numerators a and b, numpy object arrays of
+    Python ints of one shape, over one positive integer den.  Indexing,
+    reshaping and transposing act on a and b alike, as on a numpy array."""
+
+    __slots__ = ("a", "b", "den")
+
+    def __init__(self, a, b, den=1):
+        self.a, self.b, self.den = a, b, den
+
+    @property
+    def shape(self):
+        return self.a.shape
+
+    def __len__(self):
+        return len(self.a)
+
+    def _each(self, fn):
+        return ZwArray(fn(self.a), fn(self.b), self.den)
+
+    def __getitem__(self, key):
+        return self._each(lambda x: x[key])
+
+    def reshape(self, *shape):
+        return self._each(lambda x: x.reshape(*shape))
+
+    def transpose(self, *axes):
+        return self._each(lambda x: x.transpose(*axes))
+
+    @property
+    def T(self):
+        return self._each(lambda x: x.T)
+
+
+class ZwArrays:
+    """The exact array backend over Q and Q(w): ``ZwArray`` values, with the
+    operations ``_encoded_lie.TableArrays`` has over fields with tables.
+    Results are exact; their denominators are not reduced, apart from the
+    canonical RREF that ``rref`` returns."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def array(self, scalars):
+        """A (nested sequence of) Scalar(s) as a ZwArray of the same shape."""
+        s = np.array(scalars, dtype=object)
+        reps = [rep(c) for c in s.ravel()]
+        den = math.lcm(1, *(d for *_, d in reps))
+        a = np.array([x * (den // d) for x, _, d in reps], dtype=object)
+        b = np.array([y * (den // d) for _, y, d in reps], dtype=object)
+        return ZwArray(a.reshape(s.shape), b.reshape(s.shape), den)
+
+    def decode(self, x):
+        """The Scalars of a ZwArray, as nested lists of its shape.  A Scalar's
+        rep is reduced by the gcd of its numerators and denominator, as the
+        fields keep it."""
+        field, den = self.field, x.den
+        omega = isinstance(field, RationalOmegaField)
+        out = []
+        for a, b in zip(x.a.ravel().tolist(), x.b.ravel().tolist()):
+            g = math.gcd(a, b, den)
+            out.append(Scalar(field, (a // g, b // g, den // g) if omega else (a // g, den // g)))
+        return np.array(out, dtype=object).reshape(x.shape).tolist()
+
+    def _common(self, x, y):
+        """The numerators of x and y over their least common denominator."""
+        if x.den == y.den:
+            return x.a, x.b, y.a, y.b, x.den
+        den = math.lcm(x.den, y.den)
+        sx, sy = den // x.den, den // y.den
+        return x.a * sx, x.b * sx, y.a * sy, y.b * sy, den
+
+    def add(self, x, y):
+        xa, xb, ya, yb, den = self._common(x, y)
+        return ZwArray(xa + ya, xb + yb, den)
+
+    def sub(self, x, y):
+        xa, xb, ya, yb, den = self._common(x, y)
+        return ZwArray(xa - ya, xb - yb, den)
+
+    def neg(self, x):
+        return ZwArray(-x.a, -x.b, x.den)
+
+    def mul(self, x, y):
+        """Elementwise products, broadcast as numpy does."""
+        return ZwArray(*mul(x.a, x.b, y.a, y.b), x.den * y.den)
+
+    def matmul(self, x, y):
+        """Matrix products of stacks, broadcast as numpy's matmul does."""
+        return ZwArray(*matmul(x.a, x.b, y.a, y.b), x.den * y.den)
+
+    def nonzero(self, x):
+        return (x.a != 0) | (x.b != 0)
+
+    def equal(self, x, y):
+        """Elementwise equality, by cross-multiplying the denominators."""
+        return (x.a * y.den == y.a * x.den) & (x.b * y.den == y.b * x.den)
+
+    def rref(self, x):
+        """(the RREF of a 2-d ZwArray, its pivot columns), as
+        ``_kernels.rref_encoded`` returns them.
+
+        Elimination is fraction-free: with pivot p in row r, each other row
+        i becomes p row_i - row_i[c] row_r, and is divided by the integer gcd
+        of its numerators, since scaling a row keeps the row space.  Then
+        each pivot row is multiplied by the conjugate (pa - pb) - pb w of its
+        pivot pa + pb w and divided by the norm pa^2 - pa pb + pb^2, and the
+        result is put over its least common denominator, so the RREF, which
+        is unique, has one representation.
+        """
+        a, b = x.a.copy(), x.b.copy()
+        m, n = a.shape
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            nz = np.flatnonzero((a[r:, c] != 0) | (b[r:, c] != 0))
+            if nz.size == 0:
+                continue
+            p = r + int(nz[0])
+            if p != r:
+                a[[r, p]], b[[r, p]] = a[[p, r]], b[[p, r]]
+            rows = np.flatnonzero((a[:, c] != 0) | (b[:, c] != 0))
+            rows = rows[rows != r]
+            if rows.size:
+                ua, ub = mul(a[r, c], b[r, c], a[rows], b[rows])
+                va, vb = mul(a[rows, c][:, None], b[rows, c][:, None], a[r], b[r])
+                a[rows], b[rows] = _primitive(ua - va, ub - vb)
+            pivots.append(c)
+        norms = []
+        for r, c in enumerate(pivots):
+            pa, pb = a[r, c], b[r, c]
+            a[r], b[r] = mul(pa - pb, -pb, a[r], b[r])
+            norms.append(pa * pa - pa * pb + pb * pb)
+        den = math.lcm(1, *norms)
+        scale = np.array(norms + [den] * (m - len(norms)), dtype=object)[:, None]
+        a, b = a * (den // scale), b * (den // scale)
+        g = math.gcd(den, *np.gcd.reduce(np.concatenate([a, b], axis=1), axis=1).tolist())
+        return ZwArray(a // g, b // g, den // g), tuple(pivots)
+
+
+def _primitive(a, b):
+    """Rows of numerators divided by their integer gcd (a zero row stays)."""
+    g = np.gcd.reduce(np.concatenate([a, b], axis=1), axis=1)
+    g[g == 0] = 1
+    return a // g[:, None], b // g[:, None]

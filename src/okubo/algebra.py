@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _zw
 from .errors import AlgebraMismatch, CoordinateCount, NoForm
 from .fields import RationalOmegaField, field_from_spec
 from .linalg import Matrix, Subspace, nullspace
@@ -568,17 +568,18 @@ class _IntegerBatch(_Batch):
     Q is the case b = 0.  Python ints never overflow, so nothing is
     truncated.  The tensor and the form are each scaled once by their common
     denominator; rows are compared by cross-multiplying with the
-    denominators.
+    denominators.  The Z[w] arithmetic is ``_zw``'s, which the derivation
+    analysis and the sl3 model share.
     """
 
     def __init__(self, algebra):
         super().__init__(algebra)
         self.field = algebra.field
         coeffs = {(i, j, k): c for i, j, k, c in algebra.entries}
-        self.tensor_den = _common_denominator(coeffs.values())
+        self.tensor_den = _zw.common_denominator(coeffs.values())
         # the entries grouped by (i, j), so each column x_i y_j is formed once
         self.products = {}
-        for (i, j, k), c in _numerators(coeffs, self.tensor_den).items():
+        for (i, j, k), c in _zw.numerators(coeffs, self.tensor_den).items():
             self.products.setdefault((i, j), []).append((k, c))
 
     @functools.cached_property
@@ -588,8 +589,8 @@ class _IntegerBatch(_Batch):
         form, dim = self.algebra.form, self.algebra.dim
         polar = {(i, j): form.polar[i, j] for i in range(dim) for j in range(dim)}
         quad = {(i, j): form.values[i] if i == j else c for (i, j), c in polar.items() if i <= j}
-        den = _common_denominator([*quad.values(), *polar.values()])
-        return den, _numerators(quad, den), _numerators(polar, den)
+        den = _zw.common_denominator([*quad.values(), *polar.values()])
+        return den, _zw.numerators(quad, den), _zw.numerators(polar, den)
 
     def draw(self, rng, count, arity):
         """The elements ``_Batch.draw`` draws, from the same randrange calls in
@@ -617,7 +618,7 @@ class _IntegerBatch(_Batch):
                      for n in range(arity))
 
     def rows(self, elements):
-        reps = [[_zw_rep(c) for c in x.coords] for x in elements]
+        reps = [[_zw.rep(c) for c in x.coords] for x in elements]
         dens = [math.lcm(*(d for *_, d in row)) for row in reps]
         scaled = [[(a * (m // d), b * (m // d)) for a, b, d in row] for row, m in zip(reps, dens)]
         ab = np.array(scaled, dtype=object).reshape(len(reps), self.algebra.dim, 2)
@@ -630,9 +631,9 @@ class _IntegerBatch(_Batch):
         (xa, xb, xd), (ya, yb, yd) = X, Y
         za, zb = np.zeros(xa.shape, dtype=object), np.zeros(xa.shape, dtype=object)
         for (i, j), terms in self.products.items():
-            pa, pb = _zw_mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
+            pa, pb = _zw.mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
             for k, (ca, cb) in terms:
-                ta, tb = _zw_mul(pa, pb, ca, cb)
+                ta, tb = _zw.mul(pa, pb, ca, cb)
                 za[:, k] += ta
                 zb[:, k] += tb
         return za, zb, xd * yd * self.tensor_den
@@ -652,19 +653,19 @@ class _IntegerBatch(_Batch):
         """Numerators of sum c_ij x_i y_j over the scaled terms."""
         na, nb = np.zeros(len(xa), dtype=object), np.zeros(len(xa), dtype=object)
         for (i, j), (ca, cb) in terms.items():
-            pa, pb = _zw_mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
-            ta, tb = _zw_mul(pa, pb, ca, cb)
+            pa, pb = _zw.mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
+            ta, tb = _zw.mul(pa, pb, ca, cb)
             na += ta
             nb += tb
         return na, nb
 
     def scale(self, X, s):
         (xa, xb, xd), (sa, sb, sd) = X, s
-        return (*_zw_mul(xa, xb, sa[:, None], sb[:, None]), xd * sd)
+        return (*_zw.mul(xa, xb, sa[:, None], sb[:, None]), xd * sd)
 
     def times(self, s, t):
         (sa, sb, sd), (ta, tb, td) = s, t
-        return (*_zw_mul(sa, sb, ta, tb), sd * td)
+        return (*_zw.mul(sa, sb, ta, tb), sd * td)
 
     def equal(self, A, B):
         (aa, ab, ad), (ba, bb, bd) = A, B
@@ -683,34 +684,6 @@ class _IntegerBatch(_Batch):
                 s = s + field.omega * v
             text.append(str(s / d[r]))
         return tuple(text)
-
-
-def _zw_rep(s):
-    """(a, b, d) with s = (a + b*w)/d, for a Scalar of Q or Q(w)."""
-    rep = s.rep
-    return (rep[0], 0, rep[1]) if len(rep) == 2 else rep
-
-
-def _zw_mul(a1, b1, a2, b2):
-    """(a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w, on ints or arrays."""
-    bb = b1 * b2
-    return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
-
-
-def _common_denominator(scalars):
-    """The least common denominator of Scalars of Q or Q(w)."""
-    return math.lcm(1, *(_zw_rep(s)[2] for s in scalars))
-
-
-def _numerators(coeffs, den):
-    """{key: (a, b)} with coeffs[key] = (a + b*w)/den, for the nonzero values
-    of a dict of Scalars of Q or Q(w) whose denominators divide den."""
-    out = {}
-    for key, s in coeffs.items():
-        if s:
-            a, b, d = _zw_rep(s)
-            out[key] = (a * (den // d), b * (den // d))
-    return out
 
 
 @dataclass(eq=False)

@@ -13,15 +13,19 @@ bracket, so ad b_i is its ``left_mult_matrix(b_i)``.  Leibniz checks read
 both sides from the tensor: D(b_i*b_j) is D applied to a tensor row, and
 D(b_i)*b_j + b_i*D(b_j) is ``product_tensor(D, I) + product_tensor(I, D)``.
 
-Over fields with lookup tables (``_kernels.supports_field``) the derivation
-analysis runs on table-encoded integer arrays in ``_encoded_lie``:
-``leibniz_system`` builds the encoded 512 x 64 system straight from the
-tensor entries, ``derivations`` reduces it with ``_kernels.rref_encoded``,
-``analyze_derivations`` holds maps as (n, 8, 8) stacks, and
-``is_simple_finite`` accepts an ``_encoded_lie.EncodedLie``.  The ``Scalar``
-functions here (``inner_derivation_span``, ``lie_close``, ``LieAlgebra`` and
-the rest) are the only path over Q, Q(w) and fields beyond the tables, and
-the reference the tests compare the encoded layer with.
+The derivation analysis runs on exact arrays (``_encoded_lie``), on the
+backend ``_encoded_lie.arrays_for`` picks from the field: table-encoded
+integer arrays over fields with lookup tables (``_kernels.supports_field``),
+and Z[w] numerators over one denominator over Q and Q(w).  There
+``analyze_derivations`` holds maps as (n, 8, 8) stacks and
+``is_simple_finite`` accepts an ``_encoded_lie.EncodedLie``.  The Leibniz
+system is an encoded array over fields with tables, reduced by
+``_kernels.rref_encoded``, and a ``Matrix`` otherwise, reduced by
+``linalg``'s exact RREF; only its distinct nonzero rows are reduced, which
+keeps the row space.  The ``Scalar`` functions here
+(``inner_derivation_span``, ``lie_close``, ``LieAlgebra`` and the rest) are
+the path over fields beyond the tables, and the reference the tests compare
+both backends with.
 """
 
 from __future__ import annotations
@@ -73,13 +77,31 @@ def leibniz_system(algebra):
 
 
 def derivations(algebra):
-    """The full derivation space as a Subspace of flattened dim x dim maps."""
+    """The full derivation space as a Subspace of flattened dim x dim maps.
+
+    Only the distinct nonzero rows of the Leibniz system are reduced (216 of
+    the 512 for the Okubo algebra): dropping a zero or repeated row keeps
+    the row space, hence the nullspace.
+    """
+    field = algebra.field
     system = leibniz_system(algebra)
     if isinstance(system, Matrix):
-        return nullspace(system)
-    field = algebra.field
-    basis = _kernels.nullspace_encoded(field, system)
+        distinct = {tuple(s.rep for s in row): row for row in system.rows}
+        distinct.pop((field.zero.rep,) * system.ncols, None)
+        # one row is kept when all are zero, so that the width stays known
+        return nullspace(Matrix(field, list(distinct.values()) or system.rows[:1]))
+    basis = _kernels.nullspace_encoded(field, _distinct_nonzero_rows(system))
     return Subspace(field, algebra.dim**2, _kernels.decode_rows(field, basis))
+
+
+def _distinct_nonzero_rows(system):
+    """The first occurrence of each distinct nonzero row of an encoded array."""
+    width = system.shape[1] * system.itemsize
+    raw = system.tobytes()
+    first = {}
+    for r in np.flatnonzero(system.any(axis=1)).tolist():
+        first.setdefault(raw[r * width:(r + 1) * width], r)
+    return system[list(first.values())]
 
 
 def leibniz_holds(algebra, dmat):
@@ -570,8 +592,9 @@ def analyze_derivations(algebra, seed=0, max_trials=20):
     """Compute the derivation profile of an algebra (drives the CLI report)."""
     field = algebra.field
     der = derivations(algebra)
-    if _kernels.supports_field(field):
-        return _encoded_analysis(algebra, der, seed, max_trials)
+    ar = _encoded_lie.arrays_for(field)
+    if ar is not None:
+        return _array_analysis(algebra, ar, der, seed, max_trials)
     inner = inner_derivation_span(algebra)
     der_lie = lie_close(der)
     derived = derived_subalgebra(der_lie)
@@ -599,27 +622,27 @@ def analyze_derivations(algebra, seed=0, max_trials=20):
     )
 
 
-def _encoded_analysis(algebra, der, seed, max_trials):
-    """``analyze_derivations`` over a field with lookup tables, given the
+def _array_analysis(algebra, ar, der, seed, max_trials):
+    """``analyze_derivations`` on the exact array backend ``ar``, given the
     derivation space ``der``."""
     field = algebra.field
-    der_basis = _kernels.encode_rows(field, der.basis).reshape(der.dim, algebra.dim**2)
-    C = _encoded_lie.encoded_tensor(algebra)
-    inner = _encoded_lie.inner_span(algebra, C)
-    derived = _encoded_lie.derived(_encoded_lie.lie_close(field, der_basis))
-    derived_span = _kernels.span_encoded(field, derived.maps.reshape(derived.dim, -1))
+    D = ar.array(der.basis).reshape(der.dim, algebra.dim**2)
+    C = _encoded_lie.tensor_of(ar, algebra)
+    inner = _encoded_lie.inner_span(ar, algebra, C)
+    derived = _encoded_lie.derived(_encoded_lie.lie_close(ar, D))
+    derived_span = _encoded_lie.span(ar, derived.maps.reshape(derived.dim, algebra.dim**2))
     notes = []
     simple = _simplicity(derived, seed, max_trials, notes)
     grading_dims = None
     if field.characteristic == 3 and algebra.grading is not None:
-        grading_dims = _encoded_lie.grading(algebra, der_basis)["dims"]
+        grading_dims = _encoded_lie.grading(ar, algebra, C, D)["dims"]
     return DerivationAnalysis(
         field_spec=field.spec_string(),
         dim_der=der.dim,
         dim_inner=len(inner),
-        inner_equals_der=np.array_equal(inner, der_basis),
+        inner_equals_der=_encoded_lie.same(ar, inner, D),
         dim_derived=derived.dim,
-        derived_equals_inner=np.array_equal(derived_span, inner),
+        derived_equals_inner=_encoded_lie.same(ar, derived_span, inner),
         killing_rank_derived=_encoded_lie.killing_rank(derived),
         center_dim_derived=_encoded_lie.center_dim(derived),
         derived_simple=simple,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from . import _encoded_lie
 from .algebra import AlgebraElement, QuadraticForm, StructureConstantAlgebra
 from .errors import BadCharacteristic, NoCubeRoot
 from .fields import cube_root_of_unity
@@ -123,7 +124,15 @@ def _matrix_power_mod3(m, e, field):
 
 
 class Sl3Model:
-    """The trace-zero matrix model, with the label basis frozen to model 1."""
+    """The trace-zero matrix model, with the label basis frozen to model 1.
+
+    Over fields with an exact array backend (``_encoded_lie.arrays_for``:
+    lookup tables, or Z[w] numerators over Q and Q(w)) the 64 products of
+    basis matrices, their coordinates, the norms and polar values of the
+    basis and the 64 checks of (u*v)*u = sr(u)v are computed as stacked
+    arrays (``_products_on_arrays``).  Beyond the tables they are computed
+    on ``Matrix`` objects, which is also the tests' reference.
+    """
 
     def __init__(self, field):
         if field.characteristic == 3:
@@ -139,8 +148,12 @@ class Sl3Model:
         self.basis_matrices = basis
         self._solver = CoordinateSolver(field, [m.to_vec() for m in basis])
         self._trace_coef = (omega - omega * omega) * field.from_int(3).inverse()
-        self.algebra = self._build_algebra()
-        self._verify_xyx_on_basis()
+        ar = _encoded_lie.arrays_for(field)
+        if ar is None:
+            self.algebra = self._algebra_from(*self._products())
+            self._verify_xyx_on_basis()
+        else:
+            self.algebra = self._algebra_from(*self._products_on_arrays(ar))
 
     def star(self, a, b):
         """The model product of two 3x3 matrices: w ab - w^2 ba - ((w-w^2)/3) tr(ab) 1."""
@@ -166,9 +179,9 @@ class Sl3Model:
                 acc = acc + c * m
         return acc
 
-    def _build_algebra(self):
-        field = self.field
-        dim = 8
+    def _products(self):
+        """(tensor, norms, polar matrix) of the basis, on Matrix objects."""
+        dim = len(self.basis_matrices)
         tensor = []
         for a in range(dim):
             row = []
@@ -177,17 +190,52 @@ class Sl3Model:
                 row.append(list(self.coords_of(prod)))
             tensor.append(row)
         values = [sr_form(m) for m in self.basis_matrices]
-        polar = Matrix(
-            field,
-            [
-                [sr_polar(ma, mb) for mb in self.basis_matrices]
-                for ma in self.basis_matrices
-            ],
-        )
+        polar = [[sr_polar(ma, mb) for mb in self.basis_matrices] for ma in self.basis_matrices]
+        return tensor, values, polar
+
+    def _products_on_arrays(self, ar):
+        """``_products`` and ``_verify_xyx_on_basis`` on the array backend
+        ``ar``, each a few stacked products.  The 64 checks of (u*v)*u =
+        sr(u)v run on the products before their coordinates are read.
+
+        Coordinates: the RREF of [B | I] is [R | T] with R = T B, so a vector
+        v of the span has the coordinates v[pivots] T; each is checked by
+        recombination.
+        """
+        field, basis = self.field, self.basis_matrices
+        n, side = len(basis), basis[0].nrows
+        B = ar.array([m.rows for m in basis])
+        products, traces = self._star_on_arrays(ar, B[:, None], B[None])
+        norms = _sr_on_arrays(ar, B)
+        lhs, _ = self._star_on_arrays(ar, products, B[:, None])
+        if not ar.equal(lhs, ar.mul(norms[:, None, None, None], B[None])).all():
+            raise AssertionError("(u*v)*u = sr(u)v fails on the model basis")
+        unit = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+        red, pivots = ar.rref(ar.array([list(m.to_vec()) + u for m, u in zip(basis, unit)]))
+        V = products.reshape(n * n, side * side)
+        coords = ar.matmul(V[:, list(pivots)], red[:, side * side:])
+        if not ar.equal(ar.matmul(coords, B.reshape(n, side * side)), V).all():
+            raise ValueError("matrix is not in the span of the model basis")
+        # the polar form sr(a, b) = tr(a) tr(b) - tr(ab)
+        tr = _trace_on_arrays(ar, B)
+        polar = ar.sub(ar.mul(tr[:, None], tr[None]), traces)
+        return ar.decode(coords.reshape(n, n, n)), ar.decode(norms), ar.decode(polar)
+
+    def _star_on_arrays(self, ar, X, Y):
+        """``star`` on stacks of 3x3 arrays, broadcast, and the traces tr(XY)."""
+        w = self.omega
+        XY, YX = ar.matmul(X, Y), ar.matmul(Y, X)
+        tr = _trace_on_arrays(ar, XY)
+        scalar = ar.mul(ar.array(self._trace_coef), tr)
+        ident = ar.array(Matrix.identity(self.field, 3).rows)
+        out = ar.sub(ar.mul(ar.array(w), XY), ar.mul(ar.array(w * w), YX))
+        return ar.sub(out, ar.mul(scalar[..., None, None], ident)), tr
+
+    def _algebra_from(self, tensor, values, polar):
         grading = [(i % 3, j % 3) for i, j in OKUBO_INDICES]
         return StructureConstantAlgebra(
-            field, dim, OKUBO_LABELS, tensor,
-            form=QuadraticForm(values, polar), grading=grading,
+            self.field, len(values), OKUBO_LABELS, tensor,
+            form=QuadraticForm(values, Matrix(self.field, polar)), grading=grading,
         )
 
     def _verify_xyx_on_basis(self):
@@ -199,6 +247,19 @@ class Sl3Model:
                 rhs = sa * b
                 if lhs != rhs:
                     raise AssertionError("(u*v)*u = sr(u)v fails on the model basis")
+
+
+def _trace_on_arrays(ar, M):
+    """The traces of a stack (..., 3, 3) of arrays."""
+    return ar.add(ar.add(M[..., 0, 0], M[..., 1, 1]), M[..., 2, 2])
+
+
+def _sr_on_arrays(ar, M):
+    """``sr_form`` of a stack (..., 3, 3) of arrays: the principal 2x2 minors."""
+    def minor(p, q):
+        return ar.sub(ar.mul(M[..., p, p], M[..., q, q]), ar.mul(M[..., p, q], M[..., q, p]))
+
+    return ar.add(ar.add(minor(0, 1), minor(0, 2)), minor(1, 2))
 
 
 def build_sl3_model(field):

@@ -1,24 +1,114 @@
-"""Dense univariate polynomials with Scalar coefficients.
+"""Dense univariate polynomials over finite fields.
 
 Coefficient lists are constant-first with no trailing zeros; [] is the zero
-polynomial.  Only what the irreducibility and factorization routines need:
-factoring the characteristic polynomials of the MeatAxe over finite fields,
-and checking the modulus of every GF(p^k).
+polynomial.  The coefficients are Scalars, or the encoded indices of a field
+with lookup tables (0 is zero, 1 is one).  A ``Coefficients`` object does
+the arithmetic on Scalars and an ``EncodedCoefficients`` object on indices,
+so each algorithm below is written once for both.  Only what the
+irreducibility and factorization routines need: factoring the
+characteristic polynomials of the MeatAxe over finite fields (encoded in
+``_encoded_lie``, on Scalars in ``liealg`` beyond the tables), and checking
+the modulus of every GF(p^k).
 
-``factor_into_irreducibles`` is deterministic and holds no random state:
-squarefree decomposition, then distinct-degree factorization (Cantor and
-Zassenhaus, Math. Comp. 36, 1981), then Berlekamp's deterministic splitting
-of each equal-degree part.  Its cost depends on the polynomial, not on a
-seed.  The tests compare it with trial division by every monic irreducible
-of degree <= 4 (``irreducible_polys``).
+``factor_into_irreducibles`` (Scalars) and ``factor_encoded`` (indices) are
+deterministic and hold no random state: squarefree decomposition, then
+distinct-degree factorization (Cantor and Zassenhaus, Math. Comp. 36, 1981),
+then Berlekamp's deterministic splitting of each equal-degree part.  Their
+cost depends on the polynomial, not on a seed, and both sort the factors by
+the Scalar coefficients, so they give the same list.  The tests compare them
+with trial division by every monic irreducible of degree <= 4
+(``irreducible_polys``).
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
+from . import _kernels
 from .errors import InfiniteField
 from .linalg import Matrix, nullspace
+
+
+class Coefficients:
+    """Arithmetic on Scalar coefficients of a finite field."""
+
+    def __init__(self, field):
+        self.field = field
+        self.zero, self.one = field.zero, field.one
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inverse()
+
+    def from_int(self, n):
+        return self.field.from_int(n)
+
+    def elements(self):
+        return self.field.elements()
+
+    def key(self, c):
+        """The sort key of a coefficient: the repr of its Scalar rep."""
+        return repr(c.rep)
+
+    def nullspace(self, rows):
+        """The RREF basis of {v : rows v = 0}, as lists."""
+        return [list(v) for v in nullspace(Matrix(self.field, rows)).basis]
+
+    def power(self, a, e):
+        out = self.one
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+
+class EncodedCoefficients(Coefficients):
+    """The same arithmetic on the encoded indices of a field with lookup
+    tables, through the tables as Python lists."""
+
+    def __init__(self, field):
+        t = _kernels.tables_for(field)
+        self.field = field
+        self.zero, self.one = 0, 1
+        self._add, self._mul, self._neg = t.lists
+        self._inv = t.inv.tolist()
+        self._keys = [repr(s.rep) for s in t.elements]
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def from_int(self, n):
+        return self.field.element_index(self.field.from_int(n))
+
+    def elements(self):
+        return range(len(self._keys))
+
+    def key(self, c):
+        return self._keys[c]
+
+    def nullspace(self, rows):
+        return _kernels.nullspace_encoded(self.field, np.array(rows, dtype=np.int64)).tolist()
 
 
 def trim(coeffs):
@@ -33,34 +123,53 @@ def degree(poly):
 
 
 def poly_mul(a, b, field):
+    return _mul(a, b, Coefficients(field))
+
+
+def poly_divmod(a, b, field):
+    return _divmod(a, b, Coefficients(field))
+
+
+def monic(poly):
+    return _monic(poly, Coefficients(poly[-1].field)) if poly else poly
+
+
+def _mul(a, b, F):
     if not a or not b:
         return []
-    out = [field.zero] * (len(a) + len(b) - 1)
+    out = [F.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
         for j, bj in enumerate(b):
             if bj:
-                out[i + j] = out[i + j] + ai * bj
+                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
     return trim(out)
 
 
-def poly_divmod(a, b, field):
+def _divmod(a, b, F):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
+    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = F.inv(b[-1])
     while len(a) >= len(b) and trim(a):
         a = trim(a)
         if len(a) < len(b):
             break
-        c = a[-1] * inv_lead
+        c = F.mul(a[-1], inv_lead)
         shift = len(a) - len(b)
         q[shift] = c
         for i, bi in enumerate(b):
-            a[shift + i] = a[shift + i] - c * bi
+            a[shift + i] = F.sub(a[shift + i], F.mul(c, bi))
     return trim(q), trim(a)
+
+
+def _monic(poly, F):
+    if not poly:
+        return poly
+    inv = F.inv(poly[-1])
+    return [F.mul(c, inv) for c in poly]
 
 
 def poly_eval(poly, x):
@@ -68,13 +177,6 @@ def poly_eval(poly, x):
     for c in reversed(poly):
         acc = acc * x + c
     return acc
-
-
-def monic(poly):
-    if not poly:
-        return poly
-    inv = poly[-1].inverse()
-    return [c * inv for c in poly]
 
 
 def _monic_polys(field, deg):
@@ -115,121 +217,132 @@ def irreducible_polys(field, deg):
             yield cand
 
 
-def _factor_key(f):
-    return (degree(f), [repr(c.rep) for c in f])
+def _factor_key(f, key=lambda c: repr(c.rep)):
+    """The sort key of a factor: its degree, then the keys of its coefficients
+    (by default those of Scalars)."""
+    return (degree(f), [key(c) for c in f])
 
 
 def factor_into_irreducibles(poly, field):
     """Monic irreducible factors (with multiplicity, sorted by degree and
     coefficients) of a degree <= 8 polynomial over a finite field."""
+    return _factor(poly, Coefficients(field))
+
+
+def factor_encoded(poly, field):
+    """``factor_into_irreducibles`` of a polynomial with the encoded
+    coefficients of a field with lookup tables: the same factors, encoded,
+    in the same order."""
+    return _factor(poly, EncodedCoefficients(field))
+
+
+def _factor(poly, F):
     if degree(poly) > 8:
         raise ValueError("factorization supported only up to degree 8")
-    if field.cardinality is None:
+    if F.field.cardinality is None:
         raise InfiniteField("cannot factor over an infinite field")
     factors = []
-    for part, mult in _squarefree_parts(monic(poly), field):
-        for same_degree, d in _distinct_degree_parts(part, field):
-            factors.extend(f for f in _equal_degree_split(same_degree, d, field)
+    for part, mult in _squarefree_parts(_monic(poly, F), F):
+        for same_degree, d in _distinct_degree_parts(part, F):
+            factors.extend(f for f in _equal_degree_split(same_degree, d, F)
                            for _ in range(mult))
-    factors.sort(key=_factor_key)
+    factors.sort(key=lambda f: _factor_key(f, F.key))
     return factors
 
 
-def _poly_sub(a, b, field):
+def _poly_sub(a, b, F):
     n = max(len(a), len(b))
-    zero = field.zero
-    return trim([(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
+    return trim([F.sub(a[i] if i < len(a) else F.zero, b[i] if i < len(b) else F.zero)
                  for i in range(n)])
 
 
-def _poly_gcd(a, b, field):
+def _poly_gcd(a, b, F):
     """The monic gcd; gcd(a, 0) = monic(a)."""
     while b:
-        a, b = b, poly_divmod(a, b, field)[1]
-    return monic(a)
+        a, b = b, _divmod(a, b, F)[1]
+    return _monic(a, F)
 
 
-def _poly_powmod(base, e, mod, field):
-    out = [field.one]
-    base = poly_divmod(base, mod, field)[1]
+def _poly_powmod(base, e, mod, F):
+    out = [F.one]
+    base = _divmod(base, mod, F)[1]
     while e:
         if e & 1:
-            out = poly_divmod(poly_mul(out, base, field), mod, field)[1]
-        base = poly_divmod(poly_mul(base, base, field), mod, field)[1]
+            out = _divmod(_mul(out, base, F), mod, F)[1]
+        base = _divmod(_mul(base, base, F), mod, F)[1]
         e >>= 1
     return out
 
 
-def _squarefree_parts(f, field):
+def _squarefree_parts(f, F):
     """Pairs (g, m), g squarefree and monic, with f = prod g^m (f monic)."""
     if degree(f) < 1:
         return []
-    deriv = trim([c * field.from_int(i) for i, c in enumerate(f)][1:])
-    c = _poly_gcd(f, deriv, field)
-    w = poly_divmod(f, c, field)[0]
+    deriv = trim([F.mul(c, F.from_int(i)) for i, c in enumerate(f)][1:])
+    c = _poly_gcd(f, deriv, F)
+    w = _divmod(f, c, F)[0]
     parts, m = [], 1
     while degree(w) > 0:
-        y = _poly_gcd(w, c, field)
-        z = poly_divmod(w, y, field)[0]
+        y = _poly_gcd(w, c, F)
+        z = _divmod(w, y, F)[0]
         if degree(z) > 0:
             parts.append((z, m))
-        w, c, m = y, poly_divmod(c, y, field)[0], m + 1
+        w, c, m = y, _divmod(c, y, F)[0], m + 1
     if degree(c) > 0:
         # c is a polynomial in x^p: take the p-th root of each coefficient,
         # a^(q/p), since a^q = a
-        p = field.characteristic
-        root = [c[i] ** (field.cardinality // p) for i in range(0, len(c), p)]
-        parts.extend((g, k * p) for g, k in _squarefree_parts(root, field))
+        p, q = F.field.characteristic, F.field.cardinality
+        root = [F.power(c[i], q // p) for i in range(0, len(c), p)]
+        parts.extend((g, k * p) for g, k in _squarefree_parts(root, F))
     return parts
 
 
-def _frobenius_rows(f, field):
+def _frobenius_rows(f, F):
     """Rows x^(q i) mod f for i < deg f, padded to deg f.  Coefficients lie
     in GF(q), so h^q = h(x^q) and h^q mod f is the row combination h Q."""
     n = degree(f)
-    zero, one = field.zero, field.one
-    x_q = _poly_powmod([zero, one], field.cardinality, f, field)
-    rows, power = [], [one]
+    x_q = _poly_powmod([F.zero, F.one], F.field.cardinality, f, F)
+    rows, power = [], [F.one]
     for _ in range(n):
-        rows.append(power + [zero] * (n - len(power)))
-        power = poly_divmod(poly_mul(power, x_q, field), f, field)[1]
+        rows.append(power + [F.zero] * (n - len(power)))
+        power = _divmod(_mul(power, x_q, F), f, F)[1]
     return rows
 
 
-def _apply_frobenius(h, rows, field):
+def _apply_frobenius(h, rows, F):
     """h^q mod f, for deg h < deg f and the ``_frobenius_rows`` of f."""
-    out = [field.zero] * len(rows)
+    out = [F.zero] * len(rows)
     for c, row in zip(h, rows):
         if c:
             for j, r in enumerate(row):
                 if r:
-                    out[j] = out[j] + c * r
+                    out[j] = F.add(out[j], F.mul(c, r))
     return trim(out)
 
 
-def _distinct_degree_parts(f, field):
+def _distinct_degree_parts(f, F):
     """Pairs (g, d): g is the product of the irreducible factors of degree d
     of the squarefree monic f."""
-    x = [field.zero, field.one]
-    rows = _frobenius_rows(f, field)
+    x = [F.zero, F.one]
+    rows = _frobenius_rows(f, F)
     parts, d, h = [], 1, x
     while degree(f) >= 2 * d:
-        h = _apply_frobenius(h, rows, field)
-        g = _poly_gcd(f, _poly_sub(h, x, field), field)
+        h = _apply_frobenius(h, rows, F)
+        g = _poly_gcd(f, _poly_sub(h, x, F), F)
         if degree(g) > 0:
             parts.append((g, d))
-            f = poly_divmod(f, g, field)[0]
-            h = poly_divmod(h, f, field)[1]
+            f = _divmod(f, g, F)[0]
+            h = _divmod(h, f, F)[1]
             n = degree(f)
-            rows = [poly_divmod(r, f, field)[1] for r in rows[:n]]
-            rows = [r + [field.zero] * (n - len(r)) for r in rows]
+            rows = [_divmod(r, f, F)[1] for r in rows[:n]]
+            rows = [r + [F.zero] * (n - len(r)) for r in rows]
         d += 1
     if degree(f) > 0:
         parts.append((f, degree(f)))
     return parts
 
 
-def _equal_degree_split(f, d, field):
+def _equal_degree_split(f, d, F):
     """The irreducible factors of f, a squarefree monic product of
     irreducibles of degree d, by Berlekamp's splitting.
 
@@ -243,23 +356,21 @@ def _equal_degree_split(f, d, field):
     n = degree(f)
     if n <= d:
         return [f]
-    zero, one = field.zero, field.one
-    rows = _frobenius_rows(f, field)
-    fixed = Matrix(field, [
-        [rows[i][j] - (one if i == j else zero) for i in range(n)] for j in range(n)
-    ])
+    rows = _frobenius_rows(f, F)
+    fixed = [[F.sub(rows[i][j], F.one if i == j else F.zero) for i in range(n)]
+             for j in range(n)]
     factors = [f]
-    for v in nullspace(fixed).basis:
+    for v in F.nullspace(fixed):
         v = trim(v)
         if degree(v) < 1:
             continue
         split = []
         for h in factors:
             found = 0
-            for c in field.elements():
+            for c in F.elements():
                 if found == degree(h):
                     break
-                g = _poly_gcd(h, _poly_sub(v, [c], field), field)
+                g = _poly_gcd(h, _poly_sub(v, [c], F), F)
                 if degree(g) > 0:
                     split.append(g)
                     found += degree(g)

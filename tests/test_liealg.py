@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import random
 from unittest import mock
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from okubo import _encoded_lie, _kernels, liealg
+from okubo.algebra import StructureConstantAlgebra
 from okubo.errors import BadCharacteristic, InfiniteField, NotClosed, SingularMatrix
 from okubo.fields import GF, field_from_spec, rationals_omega
 from okubo.liealg import (
@@ -27,9 +30,9 @@ from okubo.liealg import (
     minus_algebra,
     verify_block_bracket,
 )
-from okubo.linalg import Matrix, Subspace
+from okubo.linalg import Matrix, Subspace, nullspace
 from okubo.models import build_sl3_model, build_split_okubo
-from test_algebra import mutated_okubo, with_entry
+from test_algebra import QW_MUTANT_VALUES, mutated_okubo, with_entry
 
 
 def abelian_algebra(field):
@@ -311,92 +314,138 @@ def test_analysis_summary_gf3(okubo_gf3):
 
 
 # ---------------------------------------------------------------------------
-# the encoded layer against the Scalar functions
+# the exact array layer against the Scalar functions
 # ---------------------------------------------------------------------------
 
 TABLE_FIELDS = ["gf(2)", "gf(2^2;t^2+t+1)", "gf(3)", "gf(5)", "gf(7)", "gf(3^2;t^2+1)"]
+#: the fields of both array backends: lookup tables, and Z[w] numerators
+ARRAY_FIELDS = TABLE_FIELDS + ["q", "q(w)"]
 
 
 def scalar_path():
-    """Send every dispatch on lookup tables to the Scalar functions."""
-    return mock.patch.object(_kernels, "supports_field", lambda field: False)
+    """Send every dispatch to an array backend to the Scalar functions."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(_kernels, "supports_field", lambda field: False))
+    stack.enter_context(mock.patch.object(_encoded_lie, "arrays_for", lambda field: None))
+    return stack
 
 
-def encoded(field, rows):
-    return _kernels.encode_rows(field, rows).reshape(len(rows), -1)
+def as_array(ar, rows):
+    """Rows of Scalars as a 2-d array of the backend ``ar``."""
+    return ar.array(rows).reshape(len(rows), -1)
 
 
-@pytest.fixture(scope="module", params=TABLE_FIELDS)
-def both_paths(request):
-    """The Okubo algebra over a field with tables, with every stage of the
-    derivation analysis on the Scalar path and on the encoded path."""
-    field = field_from_spec(request.param)
+def scalar_tensor(field, entries, n):
+    """An (n, n, n) nested list of Scalars with the given integer entries."""
+    t = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in entries.items():
+        t[i][j][k] = field.from_int(c)
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def both_paths(spec):
+    """The Okubo algebra over a field with an array backend, the backend,
+    and every stage of the derivation analysis on the Scalar path and on the
+    array path."""
+    field = field_from_spec(spec)
     algebra = build_split_okubo(field)
+    ar = _encoded_lie.arrays_for(field)
     with scalar_path():
         system = leibniz_system(algebra)
         der = derivations(algebra)
     der_lie = lie_close(der)
     scalar = {"system": system, "der": der, "inner": inner_derivation_span(algebra),
               "der_lie": der_lie, "derived": derived_subalgebra(der_lie)}
-    D = _kernels.nullspace_encoded(field, leibniz_system(algebra))
-    enc_der_lie = _encoded_lie.lie_close(field, D)
-    enc = {"system": leibniz_system(algebra), "der": D,
-           "inner": _encoded_lie.inner_span(algebra, _encoded_lie.encoded_tensor(algebra)),
-           "der_lie": enc_der_lie, "derived": _encoded_lie.derived(enc_der_lie)}
-    return algebra, scalar, enc
+    D = as_array(ar, derivations(algebra).basis)
+    arr_der_lie = _encoded_lie.lie_close(ar, D)
+    arrays = {"der": D,
+              "inner": _encoded_lie.inner_span(ar, algebra, _encoded_lie.tensor_of(ar, algebra)),
+              "der_lie": arr_der_lie, "derived": _encoded_lie.derived(arr_der_lie)}
+    return algebra, ar, scalar, arrays
 
 
 class TestEncodedLayer:
-    def test_leibniz_system_and_derivation_space(self, both_paths):
-        algebra, scalar, enc = both_paths
+    @pytest.mark.parametrize("spec", ARRAY_FIELDS)
+    def test_leibniz_system_and_derivation_space(self, spec):
+        algebra, ar, scalar, arrays = both_paths(spec)
         field = algebra.field
         assert isinstance(scalar["system"], Matrix)
-        assert np.array_equal(enc["system"], encoded(field, scalar["system"].rows))
-        assert np.array_equal(enc["der"], encoded(field, scalar["der"].basis))
-        assert derivations(algebra) == scalar["der"]
+        # the distinct nonzero rows span what all 512 rows span
+        assert derivations(algebra) == scalar["der"] == nullspace(scalar["system"])
+        assert _encoded_lie.same(ar, arrays["der"], as_array(ar, scalar["der"].basis))
+        if _kernels.supports_field(field):
+            system = leibniz_system(algebra)
+            assert np.array_equal(system, as_array(ar, scalar["system"].rows))
+            assert np.array_equal(_kernels.nullspace_encoded(field, system), arrays["der"])
 
-    def test_inner_span(self, both_paths):
-        algebra, scalar, enc = both_paths
-        assert np.array_equal(enc["inner"], encoded(algebra.field, scalar["inner"].basis))
+    @pytest.mark.parametrize("spec", ARRAY_FIELDS)
+    def test_inner_span(self, spec):
+        _, ar, scalar, arrays = both_paths(spec)
+        assert _encoded_lie.same(ar, arrays["inner"], as_array(ar, scalar["inner"].basis))
 
-    def test_lie_close_bracket_tensor(self, both_paths):
-        algebra, scalar, enc = both_paths
+    @pytest.mark.parametrize("spec", ARRAY_FIELDS)
+    def test_lie_close_bracket_tensor(self, spec):
+        _, ar, scalar, arrays = both_paths(spec)
         lie, n = scalar["der_lie"], scalar["der_lie"].dim
-        flat = [c for row in lie.tensor for coords in row for c in coords]
-        assert enc["der_lie"].tensor.shape == (n, n, n)
-        assert np.array_equal(enc["der_lie"].tensor.reshape(1, -1), encoded(algebra.field, [flat]))
+        assert arrays["der_lie"].tensor.shape == (n, n, n)
+        assert _encoded_lie.same(ar, arrays["der_lie"].tensor, ar.array(lie.tensor))
         maps = [m.to_vec() for m in lie.maps]
-        assert np.array_equal(enc["der_lie"].maps.reshape(n, -1), encoded(algebra.field, maps))
+        assert _encoded_lie.same(ar, arrays["der_lie"].maps.reshape(n, -1), as_array(ar, maps))
 
-    def test_derived_span_killing_rank_and_center(self, both_paths):
-        algebra, scalar, enc = both_paths
+    @pytest.mark.parametrize("spec", ARRAY_FIELDS)
+    def test_derived_span_killing_rank_and_center(self, spec):
+        algebra, ar, scalar, arrays = both_paths(spec)
         field, derived = algebra.field, scalar["derived"]
         span = Subspace.from_vectors(field, 64, [m.to_vec() for m in derived.maps])
-        enc_derived = enc["derived"]
-        enc_span = _kernels.span_encoded(field, enc_derived.maps.reshape(enc_derived.dim, -1))
-        assert np.array_equal(enc_span, encoded(field, span.basis))
-        for lie, enc_lie in ((derived, enc["derived"]), (scalar["der_lie"], enc["der_lie"])):
-            assert _encoded_lie.killing_rank(enc_lie) == killing_rank(lie)
-            assert _encoded_lie.center_dim(enc_lie) == center_of(lie).dim
+        arr_derived = arrays["derived"]
+        arr_span = _encoded_lie.span(ar, arr_derived.maps.reshape(arr_derived.dim, -1))
+        assert _encoded_lie.same(ar, arr_span, as_array(ar, span.basis))
+        assert _encoded_lie.same(ar, arr_derived.tensor, ar.array(derived.tensor))
+        for lie, arr_lie in ((derived, arrays["derived"]), (scalar["der_lie"], arrays["der_lie"])):
+            assert _encoded_lie.killing_rank(arr_lie) == killing_rank(lie)
+            assert _encoded_lie.center_dim(arr_lie) == center_of(lie).dim
 
     @pytest.mark.parametrize("spec", ["gf(3)", "gf(3^2;t^2+1)"])
     def test_grading(self, spec):
         algebra = build_split_okubo(field_from_spec(spec))
         with scalar_path():
             want = grading_on_derivations(algebra).summary()
+        ar = _encoded_lie.arrays_for(algebra.field)
         D = _kernels.nullspace_encoded(algebra.field, leibniz_system(algebra))
-        got = liealg.DerGradingReport(**_encoded_lie.grading(algebra, D)).summary()
+        C = _encoded_lie.tensor_of(ar, algebra)
+        got = liealg.DerGradingReport(**_encoded_lie.grading(ar, algebra, C, D)).summary()
         assert got == want and got["passed"]
 
-    def test_simplicity_at_seeds_0_to_19(self, both_paths):
-        _, scalar, enc = both_paths
+    @pytest.mark.parametrize("spec", TABLE_FIELDS)
+    def test_simplicity_at_seeds_0_to_19(self, spec):
+        _, _, scalar, arrays = both_paths(spec)
         for seed in range(20):
-            for lie, enc_lie in ((scalar["derived"], enc["derived"]),
-                                 (scalar["der_lie"], enc["der_lie"])):
-                assert is_simple_finite(enc_lie, seed=seed) == is_simple_finite(lie, seed=seed)
+            for lie, arr_lie in ((scalar["derived"], arrays["derived"]),
+                                 (scalar["der_lie"], arrays["der_lie"])):
+                assert is_simple_finite(arr_lie, seed=seed) == is_simple_finite(lie, seed=seed)
 
-    def test_analysis_report(self, both_paths):
-        algebra, _, _ = both_paths
+    @pytest.mark.parametrize("spec", ["q", "q(w)"])
+    def test_simplicity_rejects_characteristic_0(self, spec):
+        _, _, scalar, arrays = both_paths(spec)
+        for lie in (scalar["derived"], arrays["derived"]):
+            with pytest.raises(InfiniteField):
+                is_simple_finite(lie)
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "q", "q(w)"])
+    def test_algebra_without_derivations(self, spec):
+        """b*b = b has no derivation but 0: the empty spans and the empty Lie
+        algebras of the array path give the Scalar path's report."""
+        field = field_from_spec(spec)
+        algebra = StructureConstantAlgebra(field, 1, ["b"], [[[field.one]]])
+        with scalar_path():
+            want = analyze_derivations(algebra).summary()
+        assert want["dim_der"] == 0
+        assert analyze_derivations(algebra).summary() == want
+
+    @pytest.mark.parametrize("spec", ARRAY_FIELDS)
+    def test_analysis_report(self, spec):
+        algebra, _, _, _ = both_paths(spec)
         for seed in (0, 9):
             with scalar_path():
                 want = analyze_derivations(algebra, seed=seed).summary()
@@ -409,6 +458,10 @@ def analysis_outcome(algebra):
         return analyze_derivations(algebra).summary()
     except (AssertionError, NotClosed, ValueError) as exc:
         return type(exc).__name__, str(exc)
+
+
+#: sl2: [e,f] = h, [h,e] = 2e, [h,f] = -2f, as in test_construction_validates_jacobi
+SL2 = {(0, 1, 2): 1, (1, 0, 2): -1, (2, 0, 0): 2, (0, 2, 0): -2, (2, 1, 1): -2, (1, 2, 1): 2}
 
 
 class TestEncodedFaultInjection:
@@ -432,47 +485,59 @@ class TestEncodedFaultInjection:
                 scalar_der = derivations(mutant)
             assert derivations(mutant) == scalar_der
 
-    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(7)", "gf(3^2;t^2+1)"])
+    @pytest.mark.parametrize("kind", sorted(QW_MUTANT_VALUES))
+    def test_every_qw_mutant_matches_scalar_path(self, qw, kind):
+        """The 96 single-entry q(w) mutants of test_algebra (each nonzero
+        entry negated, set to w or set to 1/2): the report on Z[w] arrays,
+        and with it every check the CLI derives from it, or the check that
+        raised, is the Scalar path's."""
+        text = QW_MUTANT_VALUES[kind]
+        value = None if text is None else qw.parse(text)
+        base = analysis_outcome(build_split_okubo(qw))
+        for which in range(32):
+            mutant = mutated_okubo(qw, which, value)
+            outcome = analysis_outcome(mutant)
+            assert outcome != base, which
+            with scalar_path():
+                assert analysis_outcome(mutant) == outcome, which
+
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(7)", "gf(3^2;t^2+1)", "q", "q(w)"])
     def test_corrupted_commutator_not_closed(self, spec, monkeypatch):
         field = field_from_spec(spec)
-        D = _kernels.nullspace_encoded(field, leibniz_system(build_split_okubo(field)))
-        _encoded_lie.lie_close(field, D)
+        ar = _encoded_lie.arrays_for(field)
+        D = as_array(ar, derivations(build_split_okubo(field)).basis)
+        _encoded_lie.lie_close(ar, D)
         commutators = _encoded_lie.commutators
-        t = _kernels.tables_for(field)
         for position in (0, 27, 63):
-            def corrupted(field, maps, position=position):
-                out = commutators(field, maps).copy()
-                out[1, position] = t.add[out[1, position], 1]
-                return out
+            bump = [[field.zero] * 64 for _ in range(len(D) ** 2)]
+            bump[1][position] = field.one
+
+            def corrupted(ar, maps, bump=as_array(ar, bump)):
+                return ar.add(commutators(ar, maps), bump)
 
             monkeypatch.setattr(_encoded_lie, "commutators", corrupted)
             with pytest.raises(NotClosed):
-                _encoded_lie.lie_close(field, D)
+                _encoded_lie.lie_close(ar, D)
 
-    def test_jacobi_violation_rejected(self, gf3):
-        z, o, two = 0, 1, 2  # encoded gf(3)
-        tensor = np.zeros((3, 3, 3), dtype=np.int64)
-        # [e,f]=h, [h,e]=2e, [h,f]=-2f, as in test_construction_validates_jacobi
-        tensor[0, 1, 2], tensor[1, 0, 2] = o, two
-        tensor[2, 0, 0], tensor[0, 2, 0] = two, o
-        tensor[2, 1, 1], tensor[1, 2, 1] = o, two
-        _encoded_lie.EncodedLie(gf3, tensor)
-        bad = tensor.copy()
-        bad[2, 0, 0], bad[0, 2, 0] = o, two  # breaks Jacobi, keeps antisymmetry
-        with pytest.raises(ValueError, match="Jacobi"):
-            _encoded_lie.EncodedLie(gf3, bad)
-        bad = tensor.copy()
-        bad[0, 1, 2] = z
-        with pytest.raises(ValueError, match="antisymmetric"):
-            _encoded_lie.EncodedLie(gf3, bad)
+    def test_jacobi_violation_rejected(self):
+        for spec in ("gf(3)", "q"):
+            field = field_from_spec(spec)
+            ar = _encoded_lie.arrays_for(field)
+            _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, SL2, 3)))
+            bad = {**SL2, (2, 0, 0): 1, (0, 2, 0): -1}  # breaks Jacobi, keeps antisymmetry
+            with pytest.raises(ValueError, match="Jacobi"):
+                _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, bad, 3)))
+            bad = {**SL2, (0, 1, 2): 0}
+            with pytest.raises(ValueError, match="antisymmetric"):
+                _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, bad, 3)))
 
-    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)"])
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "q(w)"])
     def test_bracket_tensor_of_der_with_broken_jacobi(self, spec):
         field = field_from_spec(spec)
-        t = _kernels.tables_for(field)
-        D = _kernels.nullspace_encoded(field, leibniz_system(build_split_okubo(field)))
-        tensor = _encoded_lie.lie_close(field, D).tensor.copy()
-        tensor[0, 1, 2] = t.add[tensor[0, 1, 2], 1]
-        tensor[1, 0, 2] = t.neg[tensor[0, 1, 2]]
+        ar = _encoded_lie.arrays_for(field)
+        D = as_array(ar, derivations(build_split_okubo(field)).basis)
+        tensor = _encoded_lie.lie_close(ar, D).tensor
+        n = tensor.shape[0]
+        bump = ar.array(scalar_tensor(field, {(0, 1, 2): 1, (1, 0, 2): -1}, n))
         with pytest.raises(ValueError, match="Jacobi"):
-            _encoded_lie.EncodedLie(field, tensor)
+            _encoded_lie.EncodedLie(ar, ar.add(tensor, bump))

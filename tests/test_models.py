@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from okubo import _encoded_lie, models
 from okubo.errors import BadCharacteristic, NoCubeRoot
 from okubo.fields import field_from_spec, rationals_omega
 from okubo.linalg import Matrix
@@ -22,6 +24,7 @@ from okubo.models import (
     sr_form,
     sr_polar,
 )
+from test_algebra import with_entry
 
 # The full multiplication table, transcribed row by row as an independent
 # oracle for the combinatorial product rule: TABLE[a][b] is (index, sign)
@@ -291,3 +294,64 @@ def test_grading_degrees_match_labels(okubo_gf3):
     assert okubo_gf3.grading == tuple((i % 3, j % 3) for i, j in OKUBO_INDICES)
     assert CHAR3_MONOMIALS == okubo_gf3.grading
     assert len(OKUBO_LABELS) == 8
+
+
+# ---------------------------------------------------------------------------
+# the sl3 model on exact arrays against the Matrix path
+# ---------------------------------------------------------------------------
+
+
+def matrix_path():
+    """Build the sl3 model on Matrix objects, as beyond the tables."""
+    return mock.patch.object(_encoded_lie, "arrays_for", lambda field: None)
+
+
+SL3_FIELDS = ["q(w)", "gf(7)", "gf(13)", "gf(2^2;t^2+t+1)"]
+
+
+@pytest.mark.parametrize("spec", SL3_FIELDS)
+def test_array_model_matches_matrix_path(spec):
+    field = field_from_spec(spec)
+    model, report = model_isomorphism_char_not3(field)
+    with matrix_path():
+        oracle, oracle_report = model_isomorphism_char_not3(field)
+    assert model.algebra.tensor == oracle.algebra.tensor
+    assert model.algebra.form.values == oracle.algebra.form.values
+    assert model.algebra.form.polar == oracle.algebra.form.polar
+    assert report.summary() == oracle_report.summary()
+    assert report.passed
+
+
+def test_matrix_path_beyond_the_tables():
+    # 271 = 1 mod 3 is a prime above the table limit: no array backend
+    field = field_from_spec("gf(271)")
+    assert _encoded_lie.arrays_for(field) is None
+    _, report = model_isomorphism_char_not3(field)
+    assert report.passed and report.products_checked == 64
+
+
+@pytest.mark.parametrize("spec", ["q(w)", "gf(7)"])
+@pytest.mark.parametrize("which", [0, 3, 6])
+def test_perturbed_basis_matrix_fails_xyx_on_arrays(spec, which):
+    """(u*v)*u = sr(u)v holds for all trace-zero u and v, so the change
+    gives one basis matrix a trace."""
+    field = field_from_spec(spec)
+    model = build_sl3_model(field)
+    ar = _encoded_lie.arrays_for(field)
+    model._products_on_arrays(ar)
+    bump = Matrix.identity(field, 3)
+    model.basis_matrices[which] = model.basis_matrices[which] + bump
+    with pytest.raises(AssertionError, match="fails on the model basis"):
+        model._products_on_arrays(ar)
+
+
+@pytest.mark.parametrize("spec", ["q(w)", "gf(7)"])
+def test_split_mutant_gives_product_mismatches(spec, monkeypatch):
+    field = field_from_spec(spec)
+    base = build_split_okubo(field)
+    i, j, k, c = base.entries[5]
+    mutant = with_entry(base, (i, j, k), -c)
+    monkeypatch.setattr(models, "build_split_okubo", lambda field: mutant)
+    _, report = model_isomorphism_char_not3(field)
+    assert report.product_mismatches == [[base.labels[i], base.labels[j]]]
+    assert not report.passed

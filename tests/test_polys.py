@@ -11,6 +11,17 @@ def P(field, ints):
     return [field.from_int(c) for c in ints]
 
 
+def encode(field, poly):
+    return [field.element_index(c) for c in poly]
+
+
+def assert_encoded_factors(poly, field, factors):
+    """``factor_encoded`` on the encoded coefficients gives the encoded
+    factors, in the same order."""
+    assert polys.factor_encoded(encode(field, poly), field) == \
+        [encode(field, f) for f in factors]
+
+
 def factor_by_trial_division(poly, field):
     """The reference factorization: monic irreducible factors (with
     multiplicity, sorted) of a degree <= 8 polynomial, by trial division
@@ -103,8 +114,9 @@ class TestFactorization:
         for deg in range(5):
             for tail in itertools.product(list(field.elements()), repeat=deg):
                 f = list(tail) + [field.one]
-                assert polys.factor_into_irreducibles(f, field) == \
-                    factor_by_trial_division(f, field)
+                want = factor_by_trial_division(f, field)
+                assert polys.factor_into_irreducibles(f, field) == want
+                assert_encoded_factors(f, field, want)
 
     @pytest.mark.parametrize("spec", ["gf(7)", "gf(3^2;t^2+1)"])
     def test_seeded_octic_products(self, spec):
@@ -122,6 +134,7 @@ class TestFactorization:
                 prod = polys.poly_mul(prod, f, field)
             factors = polys.factor_into_irreducibles(prod, field)
             assert factors == sorted(chosen, key=polys._factor_key)
+            assert_encoded_factors(prod, field, factors)
             if trial < 5:
                 assert factors == factor_by_trial_division(prod, field)
 
@@ -137,10 +150,13 @@ class TestFactorization:
         for _ in range(power):
             prod = polys.poly_mul(prod, g, field)
         assert polys.factor_into_irreducibles(prod, field) == [g] * power
+        assert_encoded_factors(prod, field, [g] * power)
 
     def test_degree_cap(self, gf3):
         with pytest.raises(ValueError):
             polys.factor_into_irreducibles([gf3.one] * 10, gf3)
+        with pytest.raises(ValueError):
+            polys.factor_encoded([1] * 10, gf3)
 
 
 def test_divmod_and_eval(gf7):
