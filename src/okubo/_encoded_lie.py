@@ -6,29 +6,34 @@
   (``_kernels.supports_field``): elements are their enumeration indices in
   int64 arrays (0 is zero, 1 is one), and arithmetic goes through the
   tables;
+* ``ModArrays``, over every other finite field: an element of GF(p^k) is
+  its k coordinates on the power basis, as k numpy object arrays of Python
+  ints mod p;
 * ``_zw.ZwArrays``, over Q and Q(w): numerators a + b*w as numpy object
   arrays of Python ints over one positive denominator.
 
-Both have the same operations (``array``, ``decode``, ``add``, ``sub``,
+All three have the same operations (``array``, ``decode``, ``add``, ``sub``,
 ``neg``, ``mul``, ``matmul``, ``nonzero``, ``equal`` and ``rref``), and
-everything here is written once on them, apart from the Leibniz system (the
-Q and Q(w) one stays a ``Matrix`` for ``linalg``'s RREF), the grading
-(characteristic 3) and the MeatAxe (finite fields), which are for fields
-with tables only.  A linear map is a square array, a family of
-maps an (n, d, d) stack, a subspace its canonical RREF basis, and every
-product of maps is one ``matmul``.  Each function mirrors a ``Scalar``
-function of ``liealg``, which is the reference the tests compare it with:
-``leibniz_system`` (tables only), ``inner_span`` (with the Leibniz check of
-each ad*_u), ``lie_close``, ``EncodedLie`` (a ``LieAlgebra``: antisymmetry
-and Jacobi are checked on construction), ``derived``, ``killing_rank``,
-``center_dim``, ``grading`` (``_grading_on``) and ``is_simple``
-(``is_simple_finite``), whose MeatAxe draws the same random stream in the
-same order, so its verdicts do not depend on the representation.  The sl3
-matrix model (``models.Sl3Model``) runs on the same backends.
+everything here is written once on them, apart from the Leibniz system
+(tables only; elsewhere it stays a ``Matrix`` for ``linalg``'s RREF) and the
+grading (characteristic 3, whose fields all have tables).  The two finite
+backends also give the MeatAxe its scalar arithmetic (``coefficients``, a
+``polys`` coefficient object, with ``entries``, ``from_entries`` and
+``concatenate``).  A linear map is a square array, a family of maps an
+(n, d, d) stack, a subspace its canonical RREF basis, and every product of
+maps is one ``matmul``.  The functions are ``leibniz_system``,
+``inner_span`` (with the Leibniz check of each ad*_u), ``lie_close``,
+``EncodedLie`` (antisymmetry and Jacobi are checked on construction),
+``derived``, ``killing_rank``, ``center_dim``, ``grading`` and
+``is_simple``, the MeatAxe.  The tests compare each with a reference on
+``Scalar`` matrices, whose MeatAxe draws the same random stream in the same
+order.  The sl3 matrix model (``models.Sl3Model``) runs on the same
+backends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -36,17 +41,18 @@ import numpy as np
 
 from . import _kernels, _zw, polys
 from .errors import Inconclusive, NotClosed
+from .fields import ExtensionField, Scalar
 
 
 def arrays_for(field):
     """The exact array backend of a field: ``_zw.ZwArrays`` over Q and Q(w),
-    ``TableArrays`` over a field with lookup tables, and None beyond the
-    tables, where the ``Scalar`` functions serve."""
+    ``TableArrays`` over a field with lookup tables, and ``ModArrays`` over
+    every other finite field."""
     if field.characteristic == 0:
         return _zw.ZwArrays(field)
     if _kernels.supports_field(field):
         return TableArrays(field)
-    return None
+    return ModArrays(field)
 
 
 class TableArrays:
@@ -57,6 +63,11 @@ class TableArrays:
         self.field = field
         self.tables = _kernels.tables_for(field)
 
+    @functools.cached_property
+    def coefficients(self):
+        """The arithmetic on single entries, the encoded indices."""
+        return polys.EncodedCoefficients(self.field)
+
     def array(self, scalars):
         """A (nested sequence of) Scalar(s) as an encoded array of its shape."""
         s = np.array(scalars, dtype=object)
@@ -66,6 +77,18 @@ class TableArrays:
     def decode(self, x):
         """The Scalars of an encoded array, as nested lists of its shape."""
         return np.array(self.tables.elements, dtype=object)[x].tolist()
+
+    def entries(self, x):
+        """The entries of an array as ``coefficients`` values, in nested
+        lists of its shape."""
+        return x.tolist()
+
+    def from_entries(self, values):
+        """``coefficients`` values in nested lists as an array of their shape."""
+        return np.array(values, dtype=np.int64)
+
+    def concatenate(self, arrays):
+        return np.concatenate(arrays)
 
     def add(self, x, y):
         return self.tables.add[x, y]
@@ -92,6 +115,131 @@ class TableArrays:
 
     def rref(self, x):
         return _kernels.rref_encoded(self.field, x)
+
+
+class ModArray(_zw.PartsArray):
+    """An array over GF(p^k): its k coordinate arrays on the power basis
+    1, t, ..., t^(k-1), numpy object arrays of Python ints in [0, p)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    @property
+    def _lead(self):
+        return self.parts[0]
+
+    def _each(self, fn):
+        return ModArray(fn(x) for x in self.parts)
+
+
+class ModArrays:
+    """The exact array backend over a finite field without lookup tables:
+    ``ModArray`` values, with the operations of ``TableArrays``.  Products
+    multiply the coordinate arrays as polynomials in t and reduce them by
+    the field's monic modulus, then mod p."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.characteristic
+        if isinstance(field, ExtensionField):
+            self.k, self.modulus = field.degree, field.modulus
+        else:
+            self.k, self.modulus = 1, ()
+        self.coefficients = polys.Coefficients(field)
+
+    def array(self, scalars):
+        """A (nested sequence of) Scalar(s) as a ModArray of the same shape."""
+        s = np.array(scalars, dtype=object)
+        reps = [c.rep for c in s.ravel()]
+        columns = [reps] if self.k == 1 else [[r[i] for r in reps] for i in range(self.k)]
+        return ModArray(np.array(c, dtype=object).reshape(s.shape) for c in columns)
+
+    def _scalar(self, coords):
+        """The Scalar with the given coordinates on the power basis."""
+        return Scalar(self.field, coords[0] if self.k == 1 else tuple(coords))
+
+    def decode(self, x):
+        """The Scalars of a ModArray, as nested lists of its shape."""
+        coords = zip(*(part.ravel().tolist() for part in x.parts))
+        out = np.array([self._scalar(c) for c in coords], dtype=object)
+        return out.reshape(x.shape).tolist()
+
+    entries = decode
+    from_entries = array
+
+    def concatenate(self, arrays):
+        return ModArray(np.concatenate(parts) for parts in zip(*(x.parts for x in arrays)))
+
+    def add(self, x, y):
+        return ModArray((a + b) % self.p for a, b in zip(x.parts, y.parts))
+
+    def sub(self, x, y):
+        return ModArray((a - b) % self.p for a, b in zip(x.parts, y.parts))
+
+    def neg(self, x):
+        return ModArray(-a % self.p for a in x.parts)
+
+    def _times(self, x, y, product):
+        """The product of two ModArrays, with ``product`` multiplying their
+        coordinate arrays: a polynomial in t of degree < 2k - 1, reduced by
+        t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1))."""
+        k = self.k
+        terms = [None] * (2 * k - 1)
+        for i, a in enumerate(x.parts):
+            for j, b in enumerate(y.parts):
+                ab = product(a, b)
+                terms[i + j] = ab if terms[i + j] is None else terms[i + j] + ab
+        for d in range(2 * k - 2, k - 1, -1):
+            for i, m in enumerate(self.modulus[:k]):
+                if m:
+                    terms[d - k + i] = terms[d - k + i] - m * terms[d]
+        return ModArray(t % self.p for t in terms[:k])
+
+    def mul(self, x, y):
+        """Elementwise products, broadcast as numpy does."""
+        return self._times(x, y, lambda a, b: a * b)
+
+    def matmul(self, x, y):
+        """Matrix products of stacks, broadcast as numpy's matmul does."""
+        return self._times(x, y, lambda a, b: a @ b)
+
+    def nonzero(self, x):
+        return np.logical_or.reduce([a != 0 for a in x.parts])
+
+    def equal(self, x, y):
+        return np.logical_and.reduce([a == b for a, b in zip(x.parts, y.parts)])
+
+    def rref(self, x):
+        """(the RREF of a 2-d ModArray, its pivot columns), as
+        ``_kernels.rref_encoded`` returns them: Gauss-Jordan with the first
+        nonzero entry of each column as pivot, inverted as a Scalar."""
+        parts = [a.copy() for a in x.parts]
+        a = ModArray(parts)
+        m, n = x.shape
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            nz = np.flatnonzero(self.nonzero(a[r:, c]))
+            if nz.size == 0:
+                continue
+            p = r + int(nz[0])
+            if p != r:
+                for part in parts:
+                    part[[r, p]] = part[[p, r]]
+            pivot = self._scalar([part[r, c] for part in parts])
+            row = self.mul(self.array(pivot.inverse()), a[r])
+            rows = np.flatnonzero(self.nonzero(a[:, c]))
+            rows = rows[rows != r]
+            reduced = self.sub(a[rows], self.mul(a[rows, c][:, None], row[None, :]))
+            for part, new, below in zip(parts, row.parts, reduced.parts):
+                part[r] = new
+                part[rows] = below
+            pivots.append(c)
+        return a, tuple(pivots)
 
 
 def span(ar, x):
@@ -124,8 +272,8 @@ def tensor_of(ar, algebra):
 
 
 def leibniz_system(algebra):
-    """``liealg.leibniz_system`` as an encoded array, built from the tensor
-    entries.
+    """``liealg.leibniz_system`` as an encoded array over a field with
+    lookup tables, built from the tensor entries.
 
     Each of the three terms puts every entry c_ijk into dim distinct cells,
     and no two entries share a cell within one term, so each term is one
@@ -149,8 +297,8 @@ def leibniz_system(algebra):
 
 def leibniz_holds(ar, C, D):
     """One bool per map D[n] (a (N, dim, dim) stack): is it a derivation of
-    the algebra with tensor C?  Both sides are read from the tensor as in
-    ``liealg.leibniz_holds``: D(b_i*b_j) against D(b_i)*b_j + b_i*D(b_j)."""
+    the algebra with tensor C?  Both sides are read from the tensor:
+    D(b_i*b_j) against D(b_i)*b_j + b_i*D(b_j)."""
     dim = C.shape[0]
     N = D.shape[0]
     Dt = D.transpose(0, 2, 1)
@@ -168,8 +316,8 @@ def ad_stars(ar, C):
 
 
 def inner_span(ar, algebra, C):
-    """``liealg.inner_derivation_span`` as an RREF basis; each generator is
-    verified against the Leibniz identity."""
+    """The span of the inner derivations ad*_u, u over the basis, as an RREF
+    basis; each generator is verified against the Leibniz identity."""
     dim = algebra.dim
     ads = ad_stars(ar, C)
     ok = leibniz_holds(ar, C, ads)
@@ -185,7 +333,7 @@ class EncodedLie:
     stack of the maps x_a, when it is an algebra of maps.
 
     Construction verifies [x,x] = 0 and antisymmetry on the basis and the
-    Jacobi identity on all basis triples, as ``LieAlgebra`` does.
+    Jacobi identity on all basis triples.
     """
 
     def __init__(self, ar, tensor, maps=None):
@@ -226,7 +374,8 @@ def commutators(ar, maps):
 
 
 def lie_close(ar, basis):
-    """``liealg.lie_close`` on an RREF basis (n, d^2) of flattened maps.
+    """The Lie algebra on a commutator-closed subspace of maps, given by an
+    RREF basis (n, d^2) of flattened maps, in that basis.
 
     Raises NotClosed when a commutator escapes the span.
     """
@@ -240,7 +389,8 @@ def lie_close(ar, basis):
 
 
 def derived(lie):
-    """``liealg.derived_subalgebra`` of an ``EncodedLie``."""
+    """The span of all pairwise brackets of an ``EncodedLie``, as a Lie
+    algebra in the RREF basis of that span."""
     ar, n, T = lie.ar, lie.dim, lie.tensor
     s = span(ar, T[np.triu_indices(n, 1)])
     m = s.shape[0]
@@ -266,17 +416,20 @@ def killing_rank(lie):
 
 def center_dim(lie):
     """dim of the center: the nullspace of the rows (j, k) over columns i of
-    tensor[i, j, k], as in ``liealg.center_of``."""
+    tensor[i, j, k]."""
     n = lie.dim
     return n - rank(lie.ar, lie.tensor.transpose(1, 2, 0).reshape(n * n, n))
 
 
 def grading(ar, algebra, C, der):
-    """The fields of the ``liealg.DerGradingReport`` that ``_grading_on``
-    makes, given the tensor C and the RREF basis ``der`` of the derivation
-    space, over a field with tables.  The component of degree g is {c der : (c der)
-    vanishes off the coordinates (r, j) with deg b_r = deg b_j + g}, so its
-    coefficients c form the nullspace of the transposed off-degree columns."""
+    """The Z3xZ3-homogeneous components of the derivation space of a graded
+    algebra over a field with tables, given the tensor C and the RREF basis
+    ``der`` of the derivation space: their dimensions by degree, their
+    total, dim Der, whether they fill Der, and whether every (ad*_b)^3 is a
+    derivation of degree (0, 0).  The component of degree g is {c der :
+    (c der) vanishes off the coordinates (r, j) with deg b_r = deg b_j + g},
+    so its coefficients c form the nullspace of the transposed off-degree
+    columns."""
     field, dim = algebra.field, algebra.dim
     degree_to_index = {d: i for i, d in enumerate(algebra.grading)}
 
@@ -309,42 +462,37 @@ def grading(ar, algebra, C, der):
     )
 
 
-def enveloping_element(field, gens, rng):
-    """``liealg._random_enveloping_element`` on an encoded stack, drawing the
-    same values: a finite field's ``random_scalar`` is one randrange(q) whose
-    value is the encoded element, 0 is zero and 1 is one."""
-    t = _kernels.tables_for(field)
-    acc = np.zeros(gens.shape[1:], dtype=np.int64)
+def enveloping_element(ar, gens, rng):
+    """A random element of the enveloping algebra of the maps ``gens``: sums
+    of short products.  A coefficient is the field element whose enumeration
+    index is one randrange(q) (one where that draws zero), the value a finite
+    field's ``random_scalar`` draws."""
+    F, q = ar.coefficients, ar.field.cardinality
+    acc = None
     for _ in range(rng.randrange(2, 5)):
         term = gens[rng.randrange(len(gens))]
         for _ in range(rng.randrange(0, 3)):
-            term = _kernels.batch_matmul(field, term, gens[rng.randrange(len(gens))])
-        coef = rng.randrange(t.q) or 1
-        acc = t.add[acc, t.mul[coef, term]]
+            term = ar.matmul(term, gens[rng.randrange(len(gens))])
+        term = ar.mul(ar.from_entries(F.from_index(rng.randrange(q) or 1)), term)
+        acc = term if acc is None else ar.add(acc, term)
     return acc
 
 
-def charpoly(field, A):
-    """det(xI - A) of an encoded square matrix, constant term first, by the
-    same division-free Berkowitz recursion as ``Matrix.charpoly``, on Python
-    ints through the field's tables."""
-    add, mul, neg = _kernels.tables_for(field).lists
-    a = A.tolist()
+def charpoly(ar, A):
+    """det(xI - A) of a square array, constant term first, by the
+    division-free Berkowitz recursion of ``Matrix.charpoly``, on the entries
+    through the backend's ``coefficients``."""
+    F = ar.coefficients
+    dot, neg = F.dot, F.neg
+    a = ar.entries(A)
     n = len(a)
-
-    def dot(u, v):
-        acc = 0
-        for x, y in zip(u, v):
-            acc = add[acc][mul[x][y]]
-        return acc
-
-    coeffs = [1, neg[a[0][0]]]  # highest degree first
+    coeffs = [F.one, neg(a[0][0])]  # highest degree first
     for r in range(2, n + 1):
         row, block = a[r - 1][: r - 1], [line[: r - 1] for line in a[: r - 1]]
-        col = [1, neg[a[r - 1][r - 1]]]
+        col = [F.one, neg(a[r - 1][r - 1])]
         v = [a[i][r - 1] for i in range(r - 1)]
         for _ in range(r - 1):
-            col.append(neg[dot(row, v)])
+            col.append(neg(dot(row, v)))
             v = [dot(line, v) for line in block]
         # multiply the (r+1) x r Toeplitz matrix built from col into coeffs
         new = []
@@ -355,66 +503,68 @@ def charpoly(field, A):
     return coeffs[::-1]
 
 
-def spin_dim(field, vector, gens, words):
+def spin_dim(ar, vector, gens, words):
     """dim of the smallest subspace holding ``vector`` and closed under the
-    encoded maps ``gens``.  The first span takes the images under ``words``
-    (the gens and their products of two) at once; the span then grows by the
+    maps ``gens``.  The first span takes the images under ``words`` (the
+    gens and their products of two) at once; the span then grows by the
     images of its basis until the dimension stops growing."""
     n = gens.shape[1]
-    first = _kernels.batch_matmul(field, vector[None, :], words.transpose(0, 2, 1))
-    span = _kernels.span_encoded(field, np.concatenate([vector[None, :], first.reshape(-1, n)]))
+    first = ar.matmul(vector[None, :], words.transpose(0, 2, 1))
+    basis = span(ar, ar.concatenate([vector[None, :], first.reshape(-1, n)]))
     images_of = gens.transpose(0, 2, 1)  # row v times G^T is (G v)^T
-    while len(span) < n:
-        images = _kernels.batch_matmul(field, span, images_of).reshape(-1, n)
-        grown = _kernels.span_encoded(field, np.concatenate([span, images]))
-        if len(grown) == len(span):
+    while len(basis) < n:
+        images = ar.matmul(basis, images_of).reshape(-1, n)
+        grown = span(ar, ar.concatenate([basis, images]))
+        if len(grown) == len(basis):
             break
-        span = grown
-    return len(span)
+        basis = grown
+    return len(basis)
 
 
 def is_simple(lie, seed, max_trials):
     """``liealg.is_simple_finite`` after its input checks, on an
-    ``EncodedLie``.
+    ``EncodedLie`` over a finite field.
 
-    The same trials as on Scalar matrices: the same enveloping elements, the
-    same characteristic polynomials and factors, kernels with the same RREF
-    bases, and the same spins.  f(theta^T) is f(theta)^T, and the powers of
-    theta serve every factor of one trial.  The characteristic polynomial
-    is factored on its encoded coefficients (``polys.factor_encoded``).
+    Quick certificates first: a proper derived subalgebra or a nonzero
+    center disproves simplicity outright.  Otherwise the adjoint module is
+    tested for irreducibility MeatAxe-style: pick a random element theta of
+    the enveloping algebra of the ad maps, factor its characteristic
+    polynomial, and apply Norton's criterion on an irreducible factor of
+    minimal nullity.  f(theta^T) is f(theta)^T, the powers of theta serve
+    every factor of one trial, and a repeated factor repeats the same kernel
+    and spins, so it is tested once.
     """
-    field, n = lie.field, lie.dim
-    t = _kernels.tables_for(field)
+    ar, n = lie.ar, lie.dim
+    F = ar.coefficients
     if derived(lie).dim != n:
         return False
     if center_dim(lie) != 0:
         return False
     gens, gens_t = lie.ads, lie.tensor
-    products = _kernels.batch_matmul(field, gens[:, None], gens[None]).reshape(-1, n, n)
-    words = np.concatenate([gens, products])
+    products = ar.matmul(gens[:, None], gens[None]).reshape(-1, n, n)
+    words = ar.concatenate([gens, products])
     words_t = words.transpose(0, 2, 1)  # the transposed gens and their products of two
+    identity = ar.from_entries([[F.one if i == j else F.zero for j in range(n)]
+                                for i in range(n)])
     rng = random.Random(seed)
     for _ in range(max_trials):
-        theta = enveloping_element(field, gens, rng)
-        # a repeated factor repeats the same kernel and spins, so it is
-        # tested once
-        factors = polys.factor_encoded(charpoly(field, theta), field)
+        theta = enveloping_element(ar, gens, rng)
+        factors = polys.factor(charpoly(ar, theta), F)
         factors = [f for i, f in enumerate(factors) if i == 0 or f != factors[i - 1]]
-        powers = [np.eye(n, dtype=np.int64)]
+        powers = [identity]
         while len(powers) <= max(map(polys.degree, factors), default=0):
-            powers.append(_kernels.batch_matmul(field, powers[-1], theta))
+            powers.append(ar.matmul(powers[-1], theta))
         for f in factors:
-            f_of_theta = np.zeros((n, n), dtype=np.int64)
-            for c, power in zip(f, powers):
-                f_of_theta = t.add[f_of_theta, t.mul[c, power]]
-            ker = _kernels.nullspace_encoded(field, f_of_theta)
-            if len(ker) == 0:
+            f_of_theta = functools.reduce(
+                ar.add, [ar.mul(ar.from_entries(c), power) for c, power in zip(f, powers)])
+            ker = F.nullspace(ar.entries(f_of_theta))
+            if not ker:
                 continue
-            if spin_dim(field, ker[0], gens, words) != n:
+            if spin_dim(ar, ar.from_entries(ker[0]), gens, words) != n:
                 return False
             if len(ker) == polys.degree(f):
-                ker_t = _kernels.nullspace_encoded(field, f_of_theta.T)
-                if spin_dim(field, ker_t[0], gens_t, words_t) != n:
+                ker_t = F.nullspace(ar.entries(f_of_theta.T))
+                if spin_dim(ar, ar.from_entries(ker_t[0]), gens_t, words_t) != n:
                     return False
                 return True
     raise Inconclusive(

@@ -10,6 +10,10 @@ truncated.  Two layers share this arithmetic:
 * ``ZwArrays`` is the exact array backend over Q and Q(w) of the derivation
   analysis (``_encoded_lie``) and of the sl3 matrix model (``models``), with
   one denominator per array.
+
+``PartsArray`` gives the views (indexing, reshaping, transposing) of an
+array held as several numpy arrays; ``ZwArray`` and ``_encoded_lie.ModArray``
+share it.
 """
 
 from __future__ import annotations
@@ -59,25 +63,20 @@ def numerators(coeffs, den):
     return out
 
 
-class ZwArray:
-    """The array (a + b*w)/den: numerators a and b, numpy object arrays of
-    Python ints of one shape, over one positive integer den.  Indexing,
-    reshaping and transposing act on a and b alike, as on a numpy array."""
+class PartsArray:
+    """An array held as numpy arrays of one shape, its parts.  Indexing,
+    reshaping and transposing act on every part alike, as on a numpy array.
+    A subclass gives ``_each(fn)``, the array with fn applied to each part,
+    and ``_lead``, one of its parts."""
 
-    __slots__ = ("a", "b", "den")
-
-    def __init__(self, a, b, den=1):
-        self.a, self.b, self.den = a, b, den
+    __slots__ = ()
 
     @property
     def shape(self):
-        return self.a.shape
+        return self._lead.shape
 
     def __len__(self):
-        return len(self.a)
-
-    def _each(self, fn):
-        return ZwArray(fn(self.a), fn(self.b), self.den)
+        return len(self._lead)
 
     def __getitem__(self, key):
         return self._each(lambda x: x[key])
@@ -91,6 +90,23 @@ class ZwArray:
     @property
     def T(self):
         return self._each(lambda x: x.T)
+
+
+class ZwArray(PartsArray):
+    """The array (a + b*w)/den: numerators a and b, numpy object arrays of
+    Python ints of one shape, over one positive integer den."""
+
+    __slots__ = ("a", "b", "den")
+
+    def __init__(self, a, b, den=1):
+        self.a, self.b, self.den = a, b, den
+
+    @property
+    def _lead(self):
+        return self.a
+
+    def _each(self, fn):
+        return ZwArray(fn(self.a), fn(self.b), self.den)
 
 
 class ZwArrays:

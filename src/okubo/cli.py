@@ -36,6 +36,11 @@ from .models import (
 )
 
 
+#: the largest ``--trials``: verify and twist draw the coordinates of every
+#: trial before checking any, as one batch in memory
+MAX_TRIALS = 10**4
+
+
 def _field(args):
     return field_from_spec(args.field)
 
@@ -211,8 +216,8 @@ def build_parser():
 def _check_options(args):
     """Reject option values no command can run with, before any work."""
     trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        raise BadOption(f"--trials must be at least 1, got {trials}")
+    if trials is not None and not 1 <= trials <= MAX_TRIALS:
+        raise BadOption(f"--trials must be between 1 and {MAX_TRIALS}, got {trials}")
     if getattr(args, "budget", 1) <= 0:
         raise BadOption(f"--budget must be positive, got {args.budget}")
     for path in (getattr(args, "out", None), args.json_path):

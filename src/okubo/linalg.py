@@ -11,7 +11,7 @@ scalar representations.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, FieldMismatch, SingularMatrix
+from .errors import FieldMismatch, SingularMatrix
 
 
 class Matrix:
@@ -353,14 +353,6 @@ class Subspace:
         rows, rank, _ = _rref_rows(vecs, field)
         return cls(field, ambient, [r for r in rows[:rank]])
 
-    @classmethod
-    def zero(cls, field, ambient):
-        return cls(field, ambient, [])
-
-    @classmethod
-    def full(cls, field, ambient):
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
-
     @property
     def dim(self):
         return len(self.rows)
@@ -368,66 +360,6 @@ class Subspace:
     @property
     def basis(self):
         return self.rows
-
-    def _check(self, other):
-        if self.ambient != other.ambient or self.field != other.field:
-            raise AmbientMismatch(
-                f"ambient {self.ambient} over {self.field} vs {other.ambient} over {other.field}"
-            )
-
-    def sum_with(self, other):
-        self._check(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient, list(self.rows) + list(other.rows)
-        )
-
-    def intersect(self, other):
-        self._check(other)
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.field, self.ambient)
-        r, s = self.dim, other.dim
-        # columns are the basis vectors of U and -V; kernel entries (a, b)
-        # satisfy sum a_i u_i = sum b_j v_j, an element of the intersection
-        cols = [list(row) for row in self.rows] + [
-            [-x for x in row] for row in other.rows
-        ]
-        mat = Matrix(self.field, cols).transpose()
-        ker = nullspace(mat)
-        vecs = []
-        zero = self.field.zero
-        for kv in ker.basis:
-            a = kv[:r]
-            vec = [zero] * self.ambient
-            for ai, urow in zip(a, self.rows):
-                if ai:
-                    for j, u in enumerate(urow):
-                        if u:
-                            vec[j] = vec[j] + ai * u
-            vecs.append(vec)
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
-
-    def contains_vector(self, vec):
-        return self.coordinates_of(vec) is not None
-
-    def coordinates_of(self, vec):
-        """Coefficients of vec in the RREF basis, or None if not in the span."""
-        residual = list(vec)
-        coords = []
-        for row in self.rows:
-            pc = next(j for j, x in enumerate(row) if x)
-            c = residual[pc]
-            coords.append(c)
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        residual[j] = residual[j] - c * x
-        if any(residual):
-            return None
-        return tuple(coords)
-
-    def contains(self, other):
-        self._check(other)
-        return all(self.contains_vector(v) for v in other.rows)
 
     def __eq__(self, other):
         return (
@@ -485,60 +417,3 @@ class CoordinateSolver:
                     acc = acc + c * v
             coords.append(acc)
         return tuple(coords)
-
-
-class EchelonAccumulator:
-    """Incremental echelon basis, for spinning vectors under linear maps."""
-
-    def __init__(self, field, ambient):
-        self.field = field
-        self.ambient = ambient
-        self.rows = []  # (pivot index, row of Scalars), pivot-normalized
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def insert(self, vec):
-        """Reduce vec against the basis; keep the residual if nonzero.
-
-        Returns True when the vector enlarged the span.
-        """
-        v = list(vec)
-        for pc, row in self.rows:
-            c = v[pc]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = v[j] - c * x
-        piv = None
-        for j, x in enumerate(v):
-            if x:
-                piv = j
-                break
-        if piv is None:
-            return False
-        inv = v[piv].inverse()
-        v = [x * inv for x in v]
-        self.rows.append((piv, v))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    def to_subspace(self):
-        return Subspace.from_vectors(self.field, self.ambient, [r for _, r in self.rows])
-
-
-def spin(field, ambient, seeds, operators):
-    """Smallest subspace containing the seeds and closed under the operators."""
-    acc = EchelonAccumulator(field, ambient)
-    queue = []
-    for s in seeds:
-        if acc.insert(s):
-            queue.append(s)
-    while queue and acc.dim < ambient:
-        v = queue.pop()
-        for op in operators:
-            w = op.matvec(v)
-            if acc.insert(w):
-                queue.append(w)
-    return acc.to_subspace()

@@ -126,12 +126,13 @@ def _matrix_power_mod3(m, e, field):
 class Sl3Model:
     """The trace-zero matrix model, with the label basis frozen to model 1.
 
-    Over fields with an exact array backend (``_encoded_lie.arrays_for``:
-    lookup tables, or Z[w] numerators over Q and Q(w)) the 64 products of
-    basis matrices, their coordinates, the norms and polar values of the
-    basis and the 64 checks of (u*v)*u = sr(u)v are computed as stacked
-    arrays (``_products_on_arrays``).  Beyond the tables they are computed
-    on ``Matrix`` objects, which is also the tests' reference.
+    The 64 products of basis matrices, their coordinates, the norms and
+    polar values of the basis and the 64 checks of (u*v)*u = sr(u)v are
+    computed as stacked arrays (``_products_on_arrays``) on the field's
+    exact array backend (``_encoded_lie.arrays_for``: lookup tables,
+    coordinates mod p beyond them, or Z[w] numerators over Q and Q(w)).  The
+    tests compare them with ``star``, ``coords_of``, ``sr_form`` and
+    ``sr_polar`` on ``Matrix`` objects.
     """
 
     def __init__(self, field):
@@ -149,11 +150,7 @@ class Sl3Model:
         self._solver = CoordinateSolver(field, [m.to_vec() for m in basis])
         self._trace_coef = (omega - omega * omega) * field.from_int(3).inverse()
         ar = _encoded_lie.arrays_for(field)
-        if ar is None:
-            self.algebra = self._algebra_from(*self._products())
-            self._verify_xyx_on_basis()
-        else:
-            self.algebra = self._algebra_from(*self._products_on_arrays(ar))
+        self.algebra = self._algebra_from(*self._products_on_arrays(ar))
 
     def star(self, a, b):
         """The model product of two 3x3 matrices: w ab - w^2 ba - ((w-w^2)/3) tr(ab) 1."""
@@ -179,24 +176,11 @@ class Sl3Model:
                 acc = acc + c * m
         return acc
 
-    def _products(self):
-        """(tensor, norms, polar matrix) of the basis, on Matrix objects."""
-        dim = len(self.basis_matrices)
-        tensor = []
-        for a in range(dim):
-            row = []
-            for b in range(dim):
-                prod = self.star(self.basis_matrices[a], self.basis_matrices[b])
-                row.append(list(self.coords_of(prod)))
-            tensor.append(row)
-        values = [sr_form(m) for m in self.basis_matrices]
-        polar = [[sr_polar(ma, mb) for mb in self.basis_matrices] for ma in self.basis_matrices]
-        return tensor, values, polar
-
     def _products_on_arrays(self, ar):
-        """``_products`` and ``_verify_xyx_on_basis`` on the array backend
-        ``ar``, each a few stacked products.  The 64 checks of (u*v)*u =
-        sr(u)v run on the products before their coordinates are read.
+        """(tensor, norms, polar matrix) of the basis on the array backend
+        ``ar``, each a few stacked products, after the 64 checks of
+        (u*v)*u = sr(u)v, which run on the products before their coordinates
+        are read.
 
         Coordinates: the RREF of [B | I] is [R | T] with R = T B, so a vector
         v of the span has the coordinates v[pivots] T; each is checked by
@@ -237,16 +221,6 @@ class Sl3Model:
             self.field, len(values), OKUBO_LABELS, tensor,
             form=QuadraticForm(values, Matrix(self.field, polar)), grading=grading,
         )
-
-    def _verify_xyx_on_basis(self):
-        # (u*v)*u = sr(u) v for all basis pairs
-        for a in self.basis_matrices:
-            sa = sr_form(a)
-            for b in self.basis_matrices:
-                lhs = self.star(self.star(a, b), a)
-                rhs = sa * b
-                if lhs != rhs:
-                    raise AssertionError("(u*v)*u = sr(u)v fails on the model basis")
 
 
 def _trace_on_arrays(ar, M):

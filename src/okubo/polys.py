@@ -6,18 +6,17 @@ with lookup tables (0 is zero, 1 is one).  A ``Coefficients`` object does
 the arithmetic on Scalars and an ``EncodedCoefficients`` object on indices,
 so each algorithm below is written once for both.  Only what the
 irreducibility and factorization routines need: factoring the
-characteristic polynomials of the MeatAxe over finite fields (encoded in
-``_encoded_lie``, on Scalars in ``liealg`` beyond the tables), and checking
-the modulus of every GF(p^k).
+characteristic polynomials of the MeatAxe over finite fields
+(``_encoded_lie``: on indices over fields with tables, on Scalars beyond
+them), and checking the modulus of every GF(p^k).
 
-``factor_into_irreducibles`` (Scalars) and ``factor_encoded`` (indices) are
-deterministic and hold no random state: squarefree decomposition, then
-distinct-degree factorization (Cantor and Zassenhaus, Math. Comp. 36, 1981),
-then Berlekamp's deterministic splitting of each equal-degree part.  Their
-cost depends on the polynomial, not on a seed, and both sort the factors by
-the Scalar coefficients, so they give the same list.  The tests compare them
-with trial division by every monic irreducible of degree <= 4
-(``irreducible_polys``).
+``factor`` is deterministic and holds no random state: squarefree
+decomposition, then distinct-degree factorization (Cantor and Zassenhaus,
+Math. Comp. 36, 1981), then Berlekamp's deterministic splitting of each
+equal-degree part.  Its cost depends on the polynomial, not on a seed, and
+it sorts the factors by the Scalar coefficients, so indices and Scalars give
+the same list.  The tests compare it with trial division by every monic
+irreducible of degree <= 4 (``irreducible_polys``).
 """
 
 from __future__ import annotations
@@ -44,6 +43,9 @@ class Coefficients:
     def sub(self, a, b):
         return a - b
 
+    def neg(self, a):
+        return -a
+
     def mul(self, a, b):
         return a * b
 
@@ -52,6 +54,17 @@ class Coefficients:
 
     def from_int(self, n):
         return self.field.from_int(n)
+
+    def from_index(self, i):
+        """The element with enumeration index i."""
+        return self.field.element_from_index(i)
+
+    def dot(self, u, v):
+        """sum u_i v_i."""
+        acc = self.zero
+        for x, y in zip(u, v):
+            acc = acc + x * y
+        return acc
 
     def elements(self):
         return self.field.elements()
@@ -92,6 +105,9 @@ class EncodedCoefficients(Coefficients):
     def sub(self, a, b):
         return self._add[a][self._neg[b]]
 
+    def neg(self, a):
+        return self._neg[a]
+
     def mul(self, a, b):
         return self._mul[a][b]
 
@@ -100,6 +116,16 @@ class EncodedCoefficients(Coefficients):
 
     def from_int(self, n):
         return self.field.element_index(self.field.from_int(n))
+
+    def from_index(self, i):
+        return i
+
+    def dot(self, u, v):
+        add, mul = self._add, self._mul
+        acc = 0
+        for x, y in zip(u, v):
+            acc = add[acc][mul[x][y]]
+        return acc
 
     def elements(self):
         return range(len(self._keys))
@@ -224,19 +250,15 @@ def _factor_key(f, key=lambda c: repr(c.rep)):
 
 
 def factor_into_irreducibles(poly, field):
+    """``factor`` of a polynomial with Scalar coefficients."""
+    return factor(poly, Coefficients(field))
+
+
+def factor(poly, F):
     """Monic irreducible factors (with multiplicity, sorted by degree and
-    coefficients) of a degree <= 8 polynomial over a finite field."""
-    return _factor(poly, Coefficients(field))
-
-
-def factor_encoded(poly, field):
-    """``factor_into_irreducibles`` of a polynomial with the encoded
-    coefficients of a field with lookup tables: the same factors, encoded,
-    in the same order."""
-    return _factor(poly, EncodedCoefficients(field))
-
-
-def _factor(poly, F):
+    the Scalar coefficients) of a degree <= 8 polynomial over a finite field,
+    whose coefficients the arithmetic F (a ``Coefficients`` or
+    ``EncodedCoefficients``) acts on."""
     if degree(poly) > 8:
         raise ValueError("factorization supported only up to degree 8")
     if F.field.cardinality is None:

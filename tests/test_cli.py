@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from okubo import _kernels
+from okubo import _kernels, cli
 from okubo.algebra import StructureConstantAlgebra
 from okubo.cli import main
 from okubo.models import build_split_okubo
@@ -138,6 +138,21 @@ class TestSubcommands:
         code, report = run_cli(capsys, "verify", "--field", "gf(3)", "--trials", trials)
         assert code == 2
         assert "BadOption" in report["error"]
+
+    @pytest.mark.parametrize("command", ["verify", "twist"])
+    @pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 10**8])
+    def test_trials_above_cap_rejected_before_any_work(self, capsys, monkeypatch, command, trials):
+        def no_work(field):
+            raise AssertionError("an algebra was built before the --trials check")
+
+        monkeypatch.setattr(cli, "build_split_okubo", no_work)
+        extra = ["--idempotent", "1,1,1,1,1,1,1,1"] if command == "twist" else []
+        code, report = run_cli(capsys, command, "--field", "gf(3^2;t^2+1)",
+                               "--trials", str(trials), *extra)
+        assert code == 2
+        assert report["error"] == (f"BadOption: --trials must be between 1 and "
+                                   f"{cli.MAX_TRIALS}, got {trials}")
+        assert cli.MAX_TRIALS >= 10**4
 
     @pytest.mark.parametrize("command", ["census", "models", "derivations", "export"])
     def test_trials_rejected_where_unused(self, capsys, tmp_path, command):

@@ -39,6 +39,7 @@ from okubo.idempotents import (
     unit_of,
 )
 from okubo.linalg import Matrix, Subspace
+from scalar_reference import contains_vector, full_space, zero_space
 from okubo.models import build_sl3_model, build_split_okubo, distinguished_idempotent
 
 # frozen census facts for GF(3), derived by two independent brute-force passes
@@ -176,7 +177,7 @@ class TestCentralizer:
 
 class TestNormRank:
     def test_full_space(self, okubo_gf3, gf3):
-        assert norm_rank_on(Subspace.full(gf3, 8), okubo_gf3) == 8
+        assert norm_rank_on(full_space(gf3, 8), okubo_gf3) == 8
 
     def test_centralizer_of_e(self, okubo_gf3):
         e = distinguished_idempotent(okubo_gf3)
@@ -187,11 +188,11 @@ class TestNormRank:
         assert norm_rank_on(line, okubo_gf3) == 0
 
     def test_zero_subspace(self, okubo_gf3, gf3):
-        assert norm_rank_on(Subspace.zero(gf3, 8), okubo_gf3) == 0
+        assert norm_rank_on(zero_space(gf3, 8), okubo_gf3) == 0
 
     def test_char2_exhaustive_branch(self, gf2):
         algebra = build_split_okubo(gf2)
-        assert norm_rank_on(Subspace.full(gf2, 8), algebra) == 8
+        assert norm_rank_on(full_space(gf2, 8), algebra) == 8
         line = Subspace.from_vectors(gf2, 8, [algebra.basis_element(0).coords])
         assert norm_rank_on(line, algebra) == 0
         # a hyperbolic plane keeps rank 2 even in characteristic 2
@@ -352,7 +353,7 @@ class TestParaHurwitz:
         twisted = petersson_twist(okubo_gf3, e)
         para = para_hurwitz_of(twisted)
         center = para.commutative_center()
-        assert center.contains_vector(e.coords)
+        assert contains_vector(center, e.coords)
         assert center.dim >= 1
 
     def test_unit_squared(self, okubo_gf3):

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import random
 from unittest import mock
@@ -6,17 +5,23 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from okubo import _encoded_lie, _kernels, liealg
 from okubo.algebra import StructureConstantAlgebra
 from okubo.errors import BadCharacteristic, InfiniteField, NotClosed, SingularMatrix
 from okubo.fields import GF, field_from_spec, rationals_omega
 from okubo.liealg import (
-    LieAlgebra,
-    ad_star,
     analyze_derivations,
-    center_of,
     conjugation_automorphism,
     derivations,
+    leibniz_system,
+)
+from okubo.linalg import Matrix, Subspace, nullspace
+from okubo.models import build_sl3_model, build_split_okubo
+from scalar_reference import (
+    LieAlgebra,
+    center_of,
+    contains,
     derived_subalgebra,
     grading_on_derivations,
     inner_bracket_matches_minus,
@@ -25,14 +30,16 @@ from okubo.liealg import (
     killing_form,
     killing_rank,
     leibniz_holds,
-    leibniz_system,
     lie_close,
     minus_algebra,
     verify_block_bracket,
 )
-from okubo.linalg import Matrix, Subspace, nullspace
-from okubo.models import build_sl3_model, build_split_okubo
 from test_algebra import QW_MUTANT_VALUES, mutated_okubo, with_entry
+
+# Up to test_analysis_summary_gf3 the tests check the paper's facts, on the
+# Scalar reference (``scalar_reference``) apart from the package's
+# conjugation_automorphism and report; the classes after it check the
+# package's array pipeline against the reference, on every backend.
 
 
 def abelian_algebra(field):
@@ -61,8 +68,8 @@ class TestDerivationDimensions:
         der = derivations(algebra)
         inner = inner_derivation_span(algebra)
         assert inner.dim == 8
-        assert der.contains(inner)
-        assert not inner.contains(der)
+        assert contains(der, inner)
+        assert not contains(inner, der)
         derived = derived_subalgebra(lie_close(der))
         dspan = Subspace.from_vectors(
             algebra.field, 64, [m.to_vec() for m in derived.maps]
@@ -75,7 +82,7 @@ class TestDerivationDimensions:
             algebra = build_split_okubo(field_from_spec(spec))
             der = derivations(algebra)
             inner = inner_derivation_span(algebra)
-            assert der.contains(inner)
+            assert contains(der, inner)
             assert isinstance(der.dim, int)
 
 
@@ -314,20 +321,21 @@ def test_analysis_summary_gf3(okubo_gf3):
 
 
 # ---------------------------------------------------------------------------
-# the exact array layer against the Scalar functions
+# the array pipeline against the Scalar reference
 # ---------------------------------------------------------------------------
 
 TABLE_FIELDS = ["gf(2)", "gf(2^2;t^2+t+1)", "gf(3)", "gf(5)", "gf(7)", "gf(3^2;t^2+1)"]
-#: the fields of both array backends: lookup tables, and Z[w] numerators
-ARRAY_FIELDS = TABLE_FIELDS + ["q", "q(w)"]
+#: finite fields beyond the lookup tables, on coordinates mod p
+MOD_FIELDS = ["gf(257)", "gf(17^2;t^2+3)"]
+FINITE_FIELDS = TABLE_FIELDS + MOD_FIELDS
+#: the fields of all three array backends
+ARRAY_FIELDS = FINITE_FIELDS + ["q", "q(w)"]
 
 
-def scalar_path():
-    """Send every dispatch to an array backend to the Scalar functions."""
-    stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(_kernels, "supports_field", lambda field: False))
-    stack.enter_context(mock.patch.object(_encoded_lie, "arrays_for", lambda field: None))
-    return stack
+def matrix_leibniz():
+    """Build the Leibniz system as a Matrix, reduced by ``linalg``, also
+    over a field with lookup tables."""
+    return mock.patch.object(_kernels, "supports_field", lambda field: False)
 
 
 def as_array(ar, rows):
@@ -345,19 +353,16 @@ def scalar_tensor(field, entries, n):
 
 @functools.lru_cache(maxsize=None)
 def both_paths(spec):
-    """The Okubo algebra over a field with an array backend, the backend,
-    and every stage of the derivation analysis on the Scalar path and on the
-    array path."""
+    """The Okubo algebra over a field, its array backend, and every stage of
+    the derivation analysis in the reference and on the arrays."""
     field = field_from_spec(spec)
     algebra = build_split_okubo(field)
     ar = _encoded_lie.arrays_for(field)
-    with scalar_path():
-        system = leibniz_system(algebra)
-        der = derivations(algebra)
+    der = derivations(algebra)
     der_lie = lie_close(der)
-    scalar = {"system": system, "der": der, "inner": inner_derivation_span(algebra),
-              "der_lie": der_lie, "derived": derived_subalgebra(der_lie)}
-    D = as_array(ar, derivations(algebra).basis)
+    scalar = {"inner": inner_derivation_span(algebra), "der_lie": der_lie,
+              "derived": derived_subalgebra(der_lie)}
+    D = as_array(ar, der.basis)
     arr_der_lie = _encoded_lie.lie_close(ar, D)
     arrays = {"der": D,
               "inner": _encoded_lie.inner_span(ar, algebra, _encoded_lie.tensor_of(ar, algebra)),
@@ -368,16 +373,19 @@ def both_paths(spec):
 class TestEncodedLayer:
     @pytest.mark.parametrize("spec", ARRAY_FIELDS)
     def test_leibniz_system_and_derivation_space(self, spec):
-        algebra, ar, scalar, arrays = both_paths(spec)
+        algebra, ar, _, arrays = both_paths(spec)
         field = algebra.field
-        assert isinstance(scalar["system"], Matrix)
-        # the distinct nonzero rows span what all 512 rows span
-        assert derivations(algebra) == scalar["der"] == nullspace(scalar["system"])
-        assert _encoded_lie.same(ar, arrays["der"], as_array(ar, scalar["der"].basis))
-        if _kernels.supports_field(field):
+        with matrix_leibniz():
             system = leibniz_system(algebra)
-            assert np.array_equal(system, as_array(ar, scalar["system"].rows))
-            assert np.array_equal(_kernels.nullspace_encoded(field, system), arrays["der"])
+            der = derivations(algebra)
+        assert isinstance(system, Matrix)
+        # the distinct nonzero rows span what all 512 rows span
+        assert derivations(algebra) == der == nullspace(system)
+        assert _encoded_lie.same(ar, arrays["der"], as_array(ar, der.basis))
+        if _kernels.supports_field(field):
+            encoded = leibniz_system(algebra)
+            assert np.array_equal(encoded, as_array(ar, system.rows))
+            assert np.array_equal(_kernels.nullspace_encoded(field, encoded), arrays["der"])
 
     @pytest.mark.parametrize("spec", ARRAY_FIELDS)
     def test_inner_span(self, spec):
@@ -409,37 +417,37 @@ class TestEncodedLayer:
     @pytest.mark.parametrize("spec", ["gf(3)", "gf(3^2;t^2+1)"])
     def test_grading(self, spec):
         algebra = build_split_okubo(field_from_spec(spec))
-        with scalar_path():
-            want = grading_on_derivations(algebra).summary()
+        want = grading_on_derivations(algebra).summary()
         ar = _encoded_lie.arrays_for(algebra.field)
         D = _kernels.nullspace_encoded(algebra.field, leibniz_system(algebra))
         C = _encoded_lie.tensor_of(ar, algebra)
-        got = liealg.DerGradingReport(**_encoded_lie.grading(ar, algebra, C, D)).summary()
+        got = ref.DerGradingReport(**_encoded_lie.grading(ar, algebra, C, D)).summary()
         assert got == want and got["passed"]
 
-    @pytest.mark.parametrize("spec", TABLE_FIELDS)
+    @pytest.mark.parametrize("spec", FINITE_FIELDS)
     def test_simplicity_at_seeds_0_to_19(self, spec):
         _, _, scalar, arrays = both_paths(spec)
         for seed in range(20):
             for lie, arr_lie in ((scalar["derived"], arrays["derived"]),
                                  (scalar["der_lie"], arrays["der_lie"])):
-                assert is_simple_finite(arr_lie, seed=seed) == is_simple_finite(lie, seed=seed)
+                assert liealg.is_simple_finite(arr_lie, seed=seed) == \
+                    is_simple_finite(lie, seed=seed)
 
     @pytest.mark.parametrize("spec", ["q", "q(w)"])
     def test_simplicity_rejects_characteristic_0(self, spec):
         _, _, scalar, arrays = both_paths(spec)
-        for lie in (scalar["derived"], arrays["derived"]):
-            with pytest.raises(InfiniteField):
-                is_simple_finite(lie)
+        with pytest.raises(InfiniteField):
+            is_simple_finite(scalar["derived"])
+        with pytest.raises(InfiniteField):
+            liealg.is_simple_finite(arrays["derived"])
 
-    @pytest.mark.parametrize("spec", ["gf(3)", "q", "q(w)"])
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(257)", "q", "q(w)"])
     def test_algebra_without_derivations(self, spec):
         """b*b = b has no derivation but 0: the empty spans and the empty Lie
-        algebras of the array path give the Scalar path's report."""
+        algebras of the array path give the reference's report."""
         field = field_from_spec(spec)
         algebra = StructureConstantAlgebra(field, 1, ["b"], [[[field.one]]])
-        with scalar_path():
-            want = analyze_derivations(algebra).summary()
+        want = ref.analyze_derivations(algebra).summary()
         assert want["dim_der"] == 0
         assert analyze_derivations(algebra).summary() == want
 
@@ -447,29 +455,113 @@ class TestEncodedLayer:
     def test_analysis_report(self, spec):
         algebra, _, _, _ = both_paths(spec)
         for seed in (0, 9):
-            with scalar_path():
-                want = analyze_derivations(algebra, seed=seed).summary()
+            want = ref.analyze_derivations(algebra, seed=seed).summary()
             assert analyze_derivations(algebra, seed=seed).summary() == want
 
 
-def analysis_outcome(algebra):
+class TestEncodedLie:
+    """The behaviours the reference's LieAlgebra tests check, on arrays."""
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(257)", "gf(17^2;t^2+3)", "q(w)"])
+    def test_ad_is_the_bracket(self, spec):
+        """Column b of ad x_a is [x_a, x_b], on the commutator algebra of O."""
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        C = _encoded_lie.tensor_of(ar, build_split_okubo(field))
+        lie = _encoded_lie.EncodedLie(ar, ar.sub(C, C.transpose(1, 0, 2)))
+        unit = as_array(ar, Matrix.identity(field, 8).rows)
+        for a in range(8):
+            assert _encoded_lie.same(ar, ar.matmul(lie.ads[a], unit).T, lie.tensor[a])
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(257)"])
+    def test_lie_close_not_closed(self, spec):
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        e12 = Matrix.from_rows(field, [[0, 1], [0, 0]])
+        e21 = Matrix.from_rows(field, [[0, 0], [1, 0]])
+        with pytest.raises(NotClosed):
+            _encoded_lie.lie_close(ar, as_array(ar, [e12.to_vec(), e21.to_vec()]))
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(257)", "q"])
+    def test_abelian(self, spec):
+        """The diagonal 2x2 maps: derived algebra 0, Killing rank 0, center
+        everything, and (over a finite field) not simple."""
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        maps = [Matrix.from_rows(field, m).to_vec() for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]])]
+        lie = _encoded_lie.lie_close(ar, as_array(ar, maps))
+        assert _encoded_lie.derived(lie).dim == 0
+        assert _encoded_lie.killing_rank(lie) == 0
+        assert _encoded_lie.center_dim(lie) == 2
+        if field.cardinality is not None:
+            assert liealg.is_simple_finite(lie) is False
+
+    @pytest.mark.parametrize("spec", ["gf(7)", "gf(257)", "gf(17^2;t^2+3)"])
+    def test_sl2_simple(self, spec):
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        sl2 = _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, SL2, 3)))
+        assert liealg.is_simple_finite(sl2, seed=0) is True
+
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "gf(257)"])
+    def test_commutator_algebra_simple(self, spec):
+        """The commutator algebra of O, as in TestMinusAlgebra."""
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        C = _encoded_lie.tensor_of(ar, build_split_okubo(field))
+        lie = _encoded_lie.EncodedLie(ar, ar.sub(C, C.transpose(1, 0, 2)))
+        assert liealg.is_simple_finite(lie, seed=0) is True
+        assert _encoded_lie.killing_rank(lie) == (0 if field.characteristic == 3 else 8)
+
+
+    @pytest.mark.parametrize("spec", ["gf(7)", "gf(3^2;t^2+1)"] + MOD_FIELDS)
+    def test_charpoly_is_matrix_charpoly(self, spec):
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        rng = random.Random(17)
+        for n in (1, 3, 8):
+            rows = [[field.random_scalar(rng) for _ in range(n)] for _ in range(n)]
+            got = _encoded_lie.charpoly(ar, as_array(ar, rows))
+            assert ar.decode(ar.from_entries(got)) == Matrix(field, rows).charpoly()
+
+    @pytest.mark.parametrize("spec", ["gf(7)"] + MOD_FIELDS)
+    def test_perfect_centerless_nonsimple_rejected(self, spec):
+        """sl2 acting on k^2 (a semidirect product) is perfect and has no
+        center, so only the MeatAxe can tell that it is not simple: the
+        abelian ideal k^2 is a submodule that a kernel vector outside it
+        does not show, but its dual does."""
+        field = field_from_spec(spec)
+        ar = _encoded_lie.arrays_for(field)
+        tensor = scalar_tensor(field, SL2_ON_PLANE, 5)
+        lie = _encoded_lie.EncodedLie(ar, ar.array(tensor))
+        oracle = LieAlgebra(field, 5, tensor)
+        for seed in range(20):
+            assert liealg.is_simple_finite(lie, seed=seed) is False
+            assert is_simple_finite(oracle, seed=seed) is False
+
+
+def analysis_outcome(algebra, analyze=analyze_derivations):
     """The derivation report, or the check that raised."""
     try:
-        return analyze_derivations(algebra).summary()
+        return analyze(algebra).summary()
     except (AssertionError, NotClosed, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
 #: sl2: [e,f] = h, [h,e] = 2e, [h,f] = -2f, as in test_construction_validates_jacobi
 SL2 = {(0, 1, 2): 1, (1, 0, 2): -1, (2, 0, 0): 2, (0, 2, 0): -2, (2, 1, 1): -2, (1, 2, 1): 2}
+#: sl2 = <e, f, h> acting on the plane <v1, v2> (basis 3, 4): e v2 = v1,
+#: f v1 = v2, h v1 = v1, h v2 = -v2, and [v1, v2] = 0
+SL2_ON_PLANE = {**SL2, (0, 4, 3): 1, (4, 0, 3): -1, (1, 3, 4): 1, (3, 1, 4): -1,
+                (2, 3, 3): 1, (3, 2, 3): -1, (2, 4, 4): -1, (4, 2, 4): 1}
 
 
 class TestEncodedFaultInjection:
-    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "gf(3^2;t^2+1)"])
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "gf(3^2;t^2+1)"] + MOD_FIELDS)
     def test_one_entry_mutants_caught(self, spec):
         """Each nonzero entry negated, and a one at 8 zero positions: on the
-        encoded path the derivation space changes or a check fails, and the
-        outcome is the Scalar path's."""
+        array path the derivation space changes or a check fails, and the
+        outcome is the reference's."""
         field = field_from_spec(spec)
         base = build_split_okubo(field)
         der = derivations(base)
@@ -480,17 +572,17 @@ class TestEncodedFaultInjection:
         for mutant in mutants:
             outcome = analysis_outcome(mutant)
             assert isinstance(outcome, tuple) or derivations(mutant) != der
-            with scalar_path():
-                assert analysis_outcome(mutant) == outcome
-                scalar_der = derivations(mutant)
-            assert derivations(mutant) == scalar_der
+            assert analysis_outcome(mutant, ref.analyze_derivations) == outcome
+            with matrix_leibniz():
+                matrix_der = derivations(mutant)
+            assert derivations(mutant) == matrix_der
 
     @pytest.mark.parametrize("kind", sorted(QW_MUTANT_VALUES))
     def test_every_qw_mutant_matches_scalar_path(self, qw, kind):
         """The 96 single-entry q(w) mutants of test_algebra (each nonzero
         entry negated, set to w or set to 1/2): the report on Z[w] arrays,
         and with it every check the CLI derives from it, or the check that
-        raised, is the Scalar path's."""
+        raised, is the reference's."""
         text = QW_MUTANT_VALUES[kind]
         value = None if text is None else qw.parse(text)
         base = analysis_outcome(build_split_okubo(qw))
@@ -498,10 +590,10 @@ class TestEncodedFaultInjection:
             mutant = mutated_okubo(qw, which, value)
             outcome = analysis_outcome(mutant)
             assert outcome != base, which
-            with scalar_path():
-                assert analysis_outcome(mutant) == outcome, which
+            assert analysis_outcome(mutant, ref.analyze_derivations) == outcome, which
 
-    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(7)", "gf(3^2;t^2+1)", "q", "q(w)"])
+    @pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(7)", "gf(3^2;t^2+1)", "q", "q(w)"]
+                             + MOD_FIELDS)
     def test_corrupted_commutator_not_closed(self, spec, monkeypatch):
         field = field_from_spec(spec)
         ar = _encoded_lie.arrays_for(field)
@@ -520,7 +612,7 @@ class TestEncodedFaultInjection:
                 _encoded_lie.lie_close(ar, D)
 
     def test_jacobi_violation_rejected(self):
-        for spec in ("gf(3)", "q"):
+        for spec in ["gf(3)", "q"] + MOD_FIELDS:
             field = field_from_spec(spec)
             ar = _encoded_lie.arrays_for(field)
             _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, SL2, 3)))
@@ -530,8 +622,11 @@ class TestEncodedFaultInjection:
             bad = {**SL2, (0, 1, 2): 0}
             with pytest.raises(ValueError, match="antisymmetric"):
                 _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, bad, 3)))
+            bad = {**SL2, (0, 0, 1): 1}
+            with pytest.raises(ValueError, match=r"\[x,x\]"):
+                _encoded_lie.EncodedLie(ar, ar.array(scalar_tensor(field, bad, 3)))
 
-    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "q(w)"])
+    @pytest.mark.parametrize("spec", ["gf(3)", "gf(7)", "q(w)", "gf(257)"])
     def test_bracket_tensor_of_der_with_broken_jacobi(self, spec):
         field = field_from_spec(spec)
         ar = _encoded_lie.arrays_for(field)

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 
@@ -24,6 +23,7 @@ from okubo.models import (
     sr_form,
     sr_polar,
 )
+from scalar_reference import sl3_products
 from test_algebra import with_entry
 
 # The full multiplication table, transcribed row by row as an independent
@@ -300,37 +300,35 @@ def test_grading_degrees_match_labels(okubo_gf3):
 # the sl3 model on exact arrays against the Matrix path
 # ---------------------------------------------------------------------------
 
-
-def matrix_path():
-    """Build the sl3 model on Matrix objects, as beyond the tables."""
-    return mock.patch.object(_encoded_lie, "arrays_for", lambda field: None)
-
-
-SL3_FIELDS = ["q(w)", "gf(7)", "gf(13)", "gf(2^2;t^2+t+1)"]
+#: every backend: Z[w] numerators, lookup tables, and coordinates mod p
+#: (gf(271) and gf(17^2;t^2+3) lie beyond the tables)
+SL3_FIELDS = ["q(w)", "gf(7)", "gf(13)", "gf(2^2;t^2+t+1)", "gf(271)", "gf(17^2;t^2+3)"]
 
 
 @pytest.mark.parametrize("spec", SL3_FIELDS)
 def test_array_model_matches_matrix_path(spec):
+    """The model on arrays equals ``sl3_products`` on Matrix objects:
+    tensor, norms, polar matrix and the report against model 1."""
     field = field_from_spec(spec)
     model, report = model_isomorphism_char_not3(field)
-    with matrix_path():
-        oracle, oracle_report = model_isomorphism_char_not3(field)
-    assert model.algebra.tensor == oracle.algebra.tensor
-    assert model.algebra.form.values == oracle.algebra.form.values
-    assert model.algebra.form.polar == oracle.algebra.form.polar
+    oracle = model._algebra_from(*sl3_products(model))
+    oracle_report = models._compare_with_split(oracle, build_split_okubo(field), "sl3")
+    assert model.algebra.tensor == oracle.tensor
+    assert model.algebra.form.values == oracle.form.values
+    assert model.algebra.form.polar == oracle.form.polar
     assert report.summary() == oracle_report.summary()
     assert report.passed
 
 
-def test_matrix_path_beyond_the_tables():
-    # 271 = 1 mod 3 is a prime above the table limit: no array backend
+def test_mod_arrays_beyond_the_tables():
+    # 271 = 1 mod 3 is a prime above the table limit
     field = field_from_spec("gf(271)")
-    assert _encoded_lie.arrays_for(field) is None
+    assert type(_encoded_lie.arrays_for(field)) is _encoded_lie.ModArrays
     _, report = model_isomorphism_char_not3(field)
     assert report.passed and report.products_checked == 64
 
 
-@pytest.mark.parametrize("spec", ["q(w)", "gf(7)"])
+@pytest.mark.parametrize("spec", ["q(w)", "gf(7)", "gf(271)"])
 @pytest.mark.parametrize("which", [0, 3, 6])
 def test_perturbed_basis_matrix_fails_xyx_on_arrays(spec, which):
     """(u*v)*u = sr(u)v holds for all trace-zero u and v, so the change
@@ -345,7 +343,7 @@ def test_perturbed_basis_matrix_fails_xyx_on_arrays(spec, which):
         model._products_on_arrays(ar)
 
 
-@pytest.mark.parametrize("spec", ["q(w)", "gf(7)"])
+@pytest.mark.parametrize("spec", ["q(w)", "gf(7)", "gf(271)"])
 def test_split_mutant_gives_product_mismatches(spec, monkeypatch):
     field = field_from_spec(spec)
     base = build_split_okubo(field)

@@ -16,9 +16,9 @@ def encode(field, poly):
 
 
 def assert_encoded_factors(poly, field, factors):
-    """``factor_encoded`` on the encoded coefficients gives the encoded
-    factors, in the same order."""
-    assert polys.factor_encoded(encode(field, poly), field) == \
+    """``factor`` on the encoded coefficients gives the encoded factors, in
+    the same order."""
+    assert polys.factor(encode(field, poly), polys.EncodedCoefficients(field)) == \
         [encode(field, f) for f in factors]
 
 
@@ -156,7 +156,7 @@ class TestFactorization:
         with pytest.raises(ValueError):
             polys.factor_into_irreducibles([gf3.one] * 10, gf3)
         with pytest.raises(ValueError):
-            polys.factor_encoded([1] * 10, gf3)
+            polys.factor([1] * 10, polys.EncodedCoefficients(gf3))
 
 
 def test_divmod_and_eval(gf7):
