@@ -28,7 +28,9 @@ maps is one ``matmul``.  The functions are ``leibniz_system``,
 ``is_simple``, the MeatAxe.  The tests compare each with a reference on
 ``Scalar`` matrices, whose MeatAxe draws the same random stream in the same
 order.  The sl3 matrix model (``models.Sl3Model``) runs on the same
-backends.
+backends, and so does the twist of ``idempotents``: ``mult_stacks`` (the
+maps L_x and R_x of a stack of elements) and ``pulled_tensor`` (the tensor
+of x.y = phi(x)*psi(y)) are the contractions of the product there.
 """
 
 from __future__ import annotations
@@ -271,6 +273,26 @@ def tensor_of(ar, algebra):
     return ar.array(algebra.tensor)
 
 
+def mult_stacks(ar, C, X):
+    """The (N, dim, dim) stacks of L_x and R_x for the rows x of X (N, dim),
+    in the algebra with tensor C: L_x[k][j] = sum_i x_i c_ijk and
+    R_x[k][i] = sum_j x_j c_ijk, the ``left_mult_matrix`` and
+    ``right_mult_matrix`` of ``StructureConstantAlgebra``."""
+    dim = C.shape[0]
+    left = ar.matmul(X, C.reshape(dim, dim * dim)).reshape(-1, dim, dim)
+    right = ar.matmul(X, C.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
+    return left.transpose(0, 2, 1), right.transpose(0, 2, 1)
+
+
+def pulled_tensor(ar, C, phi, psi):
+    """The tensor of x.y = phi(x)*psi(y) in the algebra with tensor C, as
+    ``StructureConstantAlgebra.product_tensor`` gives it:
+    T[i][j][k] = sum_ab phi[a][i] psi[b][j] c_abk, as two products."""
+    dim = C.shape[0]
+    U = ar.matmul(phi.T, C.reshape(dim, dim * dim)).reshape(dim, dim, dim)  # [i, b, k]
+    return ar.matmul(psi.T[None], U)
+
+
 def leibniz_system(algebra):
     """``liealg.leibniz_system`` as an encoded array over a field with
     lookup tables, built from the tensor entries.
@@ -480,8 +502,8 @@ def enveloping_element(ar, gens, rng):
 
 def charpoly(ar, A):
     """det(xI - A) of a square array, constant term first, by the
-    division-free Berkowitz recursion of ``Matrix.charpoly``, on the entries
-    through the backend's ``coefficients``."""
+    division-free Berkowitz recursion, on the entries through the backend's
+    ``coefficients``."""
     F = ar.coefficients
     dot, neg = F.dot, F.neg
     a = ar.entries(A)

@@ -23,8 +23,9 @@ same kernels serve GF(p) and GF(p^k) alike.
   that check pass by construction.
 * Batched products, quadratic and polar forms and minimal-polynomial
   degrees of 3x3 matrices act on encoded coordinate rows; they serve the
-  composition identity checks, the twist's randomized trials and the
-  full-field census.
+  composition identity checks, the twist's alternative laws and the
+  full-field census.  ``batch_multiply`` is one exact float32 matrix
+  product over the GF(p) digits of the encoded elements.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ class FieldTables:
         self.mul = mul
         self.neg = neg
         self.inv = inv
+        #: q = p^k; digits[e, s] is coordinate s of the element with index e
+        self.p = field.characteristic
+        self.k = getattr(field, "degree", 1)
+        digits = np.arange(q)[:, None] // self.p ** np.arange(self.k) % self.p
+        self.digits = digits.astype(np.float32)
+
+    @functools.cached_property
+    def product_digits(self):
+        """(q * q, k) float32: row a * q + b holds the digits of a * b."""
+        return self.digits[self.mul.ravel()]
 
     @functools.cached_property
     def lists(self):
@@ -287,17 +298,42 @@ def decode_census(field, codes, dim):
 
 
 def batch_multiply(field, tensor_entries, X, Y):
-    """Row-wise products Z[r] = X[r] * Y[r] for encoded coordinate batches;
-    each column x_i y_j is formed once, for all entries (i, j, k, c)."""
+    """Row-wise products Z[r] = X[r] * Y[r] for encoded coordinate batches:
+    z_k = sum c x_i y_j over the entries (i, j, k, c), as one exact float32
+    matrix product over GF(p).
+
+    The product x_i y_j of each distinct pair (i, j) is looked up once, as
+    its k base-p digits d_s: index sum d_s p^s is the element sum d_s t^s.
+    Multiplication by c is GF(p)-linear, so digit r of z_k is the sum of
+    d_s(x_i y_j) digit_r(c t^s) mod p: the (N, pairs*k) digits times the
+    (pairs*k, dim*k) digit matrix of the c t^s.  Exact: a sum of m products
+    of integers in [0, p) is at most m (p-1)^2, and float32 holds every
+    integer below 2^24, so slices of (2^24 - 1) // (p-1)^2 columns are
+    exact in any order of summation.  In dimension 8 there are at most 64 k
+    columns, and 64 k (p-1)^2 <= 64 * 250^2 = 4000000 < 2^24 for every
+    q = p^k <= 256 (k (p-1)^2 is largest at p = 251), so one slice serves
+    every field with tables.
+    """
     t = tables_for(field)
-    Z = np.zeros_like(X)
-    products = {}
-    for i, j, k, c in tensor_entries:
-        if (i, j) not in products:
-            products[i, j] = t.mul[X[:, i], Y[:, j]]
-        term = t.mul[field.element_index(c)].take(products[i, j])
-        Z[:, k] = t.add[Z[:, k], term]
-    return Z
+    p, k, dim = t.p, t.k, X.shape[1]
+    entries = np.array(_encode_entries(field, tensor_entries), dtype=np.int64)
+    i, j, kk, c = entries.reshape(-1, 4).T
+    pairs, pos = np.unique(i * dim + j, return_inverse=True)
+    s = np.arange(k)
+    # M[pair, s, kk, r] = digit r of c t^s, summed over the entries; t^s has index p^s
+    M = np.zeros((len(pairs), k, dim, k), dtype=np.float32)
+    np.add.at(M, (pos[:, None], s, kk[:, None]), t.digits[t.mul[c[:, None], p**s]])
+    M = (M % p).reshape(len(pairs) * k, dim * k)
+    I, J = np.divmod(pairs, dim)
+    products = np.take(X, I, axis=1)
+    products *= t.q
+    products += np.take(Y, J, axis=1)  # a * q + b for each pair (a, b) of factors
+    D = np.take(t.product_digits, products, axis=0).reshape(len(X), len(M))
+    Z = np.zeros((len(X), dim * k), dtype=np.int64)
+    step = (2**24 - 1) // (p - 1) ** 2
+    for a in range(0, len(M), step):
+        Z += (D[:, a : a + step] @ M[a : a + step]).astype(np.int64)
+    return (Z % p).reshape(-1, dim, k) @ p**s
 
 
 def batch_quadratic_form(field, form, X):

@@ -21,6 +21,7 @@ command line the parser rejects; an exit-2 report carries a JSON ``error``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,7 +164,10 @@ class _Parser(argparse.ArgumentParser):
         raise BadOption(f"{self.prog}: {message}", command=self.prog.partition(" ")[2] or None)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every command line can share it."""
     parser = _Parser(
         prog="okubo",
         description="exact verification suite for the split Okubo algebra",

@@ -365,8 +365,26 @@ class ExtensionField(Field):
         return tuple(-x % p for x in a)
 
     def _inv(self, a):
-        # a^(q-2) = a^(-1) for a != 0
-        return (Scalar(self, a) ** (self.cardinality - 2)).rep
+        """a^(-1) by the extended Euclidean algorithm in GF(p)[t], one leading
+        term at a time: each remainder r is kept with an s such that
+        r = s*a mod the modulus.  The modulus is irreducible, so the
+        remainders end in a nonzero constant r, and s/r is the inverse."""
+        p, k = self.p, self.degree
+        r0, s0 = list(self.modulus), [0] * (k + 1)
+        r1, s1 = list(a) + [0], [1] + [0] * k
+        while True:
+            d0 = max(i for i, x in enumerate(r0) if x)
+            d1 = max(i for i, x in enumerate(r1) if x)
+            if d1 == 0:
+                inv = pow(r1[0], -1, p)
+                return tuple(x * inv % p for x in s1[:k])
+            if d0 < d1:
+                r0, s0, r1, s1 = r1, s1, r0, s0
+                continue
+            c, shift = r0[d0] * pow(r1[d1], -1, p), d0 - d1
+            for i in range(k + 1 - shift):
+                r0[i + shift] = (r0[i + shift] - c * r1[i]) % p
+                s0[i + shift] = (s0[i + shift] - c * s1[i]) % p
 
     def from_int(self, n):
         rep = [0] * self.degree

@@ -8,8 +8,11 @@ induces
   centralizer of f; since tau = L_f^2, tau^3 = L_f^6, so one check of
   tau^3 = I also checks L_f^6 = I, and
 * a unital composition algebra (the twist) with product x.y = (f*x)*(y*f)
-  and unit f, whose tensor is ``product_tensor(L_f, R_f)``; the product is
-  recovered as ``product_tensor(R_f, L_f)`` of the twist, and its
+  and unit f, whose tensor is the pull-back of the product by (L_f, R_f);
+  the product is recovered as the pull-back of the twist by (R_f, L_f).
+  These contractions, the unit check and the norm on the basis pairs run on
+  the field's exact arrays (``_encoded_lie.mult_stacks`` and
+  ``pulled_tensor``: lookup tables, mod-p arrays or Z[w] numerators); the
   alternative laws are proved by a complete certificate and sampled by
   random trials on the same batch layer as ``verify``.  The para-Hurwitz
   algebra of a unital algebra is ``product_tensor(C, C)`` with C the
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _kernels
+from . import _encoded_lie, _kernels
 from .algebra import StructureConstantAlgebra, identity_batch
 from .errors import (
     BadCharacteristic,
@@ -193,23 +196,31 @@ def petersson_twist(algebra, f):
     Keeps the norm of the input algebra; f is verified to be a two-sided
     unit of the result.
     """
-    return _twist(algebra, f)[0]
+    ar, _, T, _, _ = _twist(algebra, f)
+    return _twisted_algebra(algebra, ar, T)
 
 
 def _twist(algebra, f):
-    """(twisted, L_f, R_f): the twist, whose tensor is
-    ``product_tensor(L_f, R_f)``, and the maps it is built from."""
+    """(ar, C, T, L_f, R_f) on the field's exact array backend ``ar``: the
+    algebra's tensor C, the twisted tensor T = ``pulled_tensor(C, L_f, R_f)``
+    and the maps it is built from, with f checked to be a two-sided unit of
+    T (its L and R there are the identity)."""
     _require_idempotent(algebra, f)
-    lf, rf = algebra.left_mult_matrix(f), algebra.right_mult_matrix(f)
-    twisted = StructureConstantAlgebra(
-        algebra.field, algebra.dim, algebra.labels, algebra.product_tensor(lf, rf),
-        form=algebra.form, grading=None,
-    )
-    ft = twisted.element(f.coords)
-    ident = Matrix.identity(algebra.field, algebra.dim)
-    if twisted.left_mult_matrix(ft) != ident or twisted.right_mult_matrix(ft) != ident:
+    ar = _encoded_lie.arrays_for(algebra.field)
+    C = _encoded_lie.tensor_of(ar, algebra)
+    F = ar.array([f.coords])
+    L, R = _encoded_lie.mult_stacks(ar, C, F)
+    lf, rf = L[0], R[0]
+    T = _encoded_lie.pulled_tensor(ar, C, lf, rf)
+    ident = ar.array(Matrix.identity(algebra.field, algebra.dim).rows)
+    if not all(_encoded_lie.same(ar, m[0], ident) for m in _encoded_lie.mult_stacks(ar, T, F)):
         raise AssertionError("twist unit is not two-sided")
-    return twisted, lf, rf
+    return ar, C, T, lf, rf
+
+
+def _twisted_algebra(algebra, ar, T):
+    return StructureConstantAlgebra(algebra.field, algebra.dim, algebra.labels, ar.decode(T),
+                                    form=algebra.form, grading=None)
 
 
 @dataclass
@@ -264,23 +275,22 @@ def twist_report(algebra, f, trials=500, seed=0):
     two-sided unit, multiplicative norm on all basis pairs, the alternative
     laws by a complete certificate and on random pairs, and the recovery
     identity x*y = (x*f).(f*y).  Basis products of either algebra are read
-    from its tensor.
+    from its tensor; the unit, norm and recovery checks run on the field's
+    exact arrays, the alternative laws on the batch layer of ``verify``.
     """
-    twisted, lf, rf = _twist(algebra, f)
+    ar, C, T, lf, rf = _twist(algebra, f)
     dim = algebra.dim
-    values = twisted.form.values
-    norm_ok = all(
-        twisted.form.evaluate(twisted.tensor[i][j]) == values[i] * values[j]
-        for i in range(dim)
-        for j in range(dim)
-    )
+    values = ar.array(algebra.form.values)
+    norm_ok = _encoded_lie.same(
+        ar, _norms(ar, algebra.form, T.reshape(dim * dim, dim)),
+        ar.mul(values[:, None], values[None, :]).reshape(dim * dim))
     # (b_i*f).(f*b_j) = b_i*b_j on all basis pairs
-    recovery_ok = twisted.product_tensor(rf, lf) == algebra.tensor
-    certificate_ok, alt_ok = _alternative_laws(twisted, trials, seed)
+    recovery_ok = _encoded_lie.same(ar, _encoded_lie.pulled_tensor(ar, T, rf, lf), C)
+    certificate_ok, alt_ok = _alternative_laws(_twisted_algebra(algebra, ar, T), trials, seed)
     return TwistReport(
         field_spec=algebra.field.spec_string(),
         idempotent=[str(c) for c in f.coords],
-        unit_ok=True,  # petersson_twist already raised otherwise
+        unit_ok=True,  # _twist already raised otherwise
         norm_multiplicative_basis_ok=norm_ok,
         recovery_ok=recovery_ok,
         alternative_trials=trials,
@@ -288,6 +298,16 @@ def twist_report(algebra, f, trials=500, seed=0):
         alternative_certificate_ok=certificate_ok,
         seed=seed,
     )
+
+
+def _norms(ar, form, X):
+    """n(x) for the rows x of X (N, dim): x Q x^T, with Q[i][i] = n(b_i),
+    Q[i][j] = n(b_i, b_j) above the diagonal and 0 below it."""
+    dim = len(form.values)
+    zero = form.polar.field.zero
+    Q = ar.array([[form.values[i] if i == j else form.polar[i, j] if i < j else zero
+                   for j in range(dim)] for i in range(dim)])
+    return ar.matmul(ar.matmul(X, Q)[:, None, :], X[:, :, None]).reshape(len(X))
 
 
 def unit_of(algebra):

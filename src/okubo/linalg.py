@@ -177,40 +177,6 @@ class Matrix:
             raise SingularMatrix("matrix is not invertible")
         return Matrix(field, [r[n:] for r in red.rows])
 
-    def charpoly(self):
-        """Coefficients of det(xI - A), constant term first (Berkowitz, division-free)."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("characteristic polynomial of a non-square matrix")
-        field = self.field
-        zero, one = field.zero, field.one
-        if n == 0:
-            return [one]
-        a = self.rows
-        coeffs = [one, -a[0][0]]  # highest degree first
-        for r in range(2, n + 1):
-            rr = a[r - 1][: r - 1]
-            ss = [a[i][r - 1] for i in range(r - 1)]
-            col = [one, -a[r - 1][r - 1]]
-            v = list(ss)
-            for _ in range(r - 1):
-                col.append(-sum((x * y for x, y in zip(rr, v) if x and y), zero))
-                v = [
-                    sum((a[i][j] * v[j] for j in range(r - 1) if a[i][j] and v[j]), zero)
-                    for i in range(r - 1)
-                ]
-            # multiply the (r+1) x r Toeplitz matrix built from col into coeffs
-            new = []
-            for i in range(r + 1):
-                acc = zero
-                for j in range(r):
-                    if 0 <= i - j < len(col):
-                        acc = acc + col[i - j] * coeffs[j]
-                new.append(acc)
-            coeffs = new
-        coeffs.reverse()
-        return coeffs
-
     def minpoly(self):
         """Monic minimal polynomial, constant term first."""
         n = self.nrows

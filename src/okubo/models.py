@@ -88,21 +88,6 @@ def build_split_okubo(field):
 # ---------------------------------------------------------------------------
 
 
-def sr_form(a):
-    """Sum of the principal 2x2 minors of a 3x3 matrix."""
-    m = a.rows
-    return (
-        (m[0][0] * m[1][1] - m[0][1] * m[1][0])
-        + (m[0][0] * m[2][2] - m[0][2] * m[2][0])
-        + (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    )
-
-
-def sr_polar(a, b):
-    """Polar form of sr: tr(a)tr(b) - tr(ab), valid in every characteristic."""
-    return a.trace() * b.trace() - (a @ b).trace()
-
-
 def pauli_matrices(field):
     """The order-3 Pauli pair: x = diag(1, w, w^2), y the 3-cycle matrix."""
     w = cube_root_of_unity(field)
@@ -131,8 +116,8 @@ class Sl3Model:
     computed as stacked arrays (``_products_on_arrays``) on the field's
     exact array backend (``_encoded_lie.arrays_for``: lookup tables,
     coordinates mod p beyond them, or Z[w] numerators over Q and Q(w)).  The
-    tests compare them with ``star``, ``coords_of``, ``sr_form`` and
-    ``sr_polar`` on ``Matrix`` objects.
+    tests compare them with the same formulas and ``coords_of`` on
+    ``Matrix`` objects.
     """
 
     def __init__(self, field):
@@ -151,14 +136,6 @@ class Sl3Model:
         self._trace_coef = (omega - omega * omega) * field.from_int(3).inverse()
         ar = _encoded_lie.arrays_for(field)
         self.algebra = self._algebra_from(*self._products_on_arrays(ar))
-
-    def star(self, a, b):
-        """The model product of two 3x3 matrices: w ab - w^2 ba - ((w-w^2)/3) tr(ab) 1."""
-        w = self.omega
-        ab = a @ b
-        ba = b @ a
-        scalar = self._trace_coef * ab.trace()
-        return w * ab - (w * w) * ba - scalar * Matrix.identity(self.field, 3)
 
     def coords_of(self, m):
         """Coordinates of a trace-zero matrix in the frozen basis."""
@@ -206,7 +183,8 @@ class Sl3Model:
         return ar.decode(coords.reshape(n, n, n)), ar.decode(norms), ar.decode(polar)
 
     def _star_on_arrays(self, ar, X, Y):
-        """``star`` on stacks of 3x3 arrays, broadcast, and the traces tr(XY)."""
+        """The model product w XY - w^2 YX - ((w-w^2)/3) tr(XY) 1 on stacks of
+        3x3 arrays, broadcast, and the traces tr(XY)."""
         w = self.omega
         XY, YX = ar.matmul(X, Y), ar.matmul(Y, X)
         tr = _trace_on_arrays(ar, XY)
@@ -229,7 +207,8 @@ def _trace_on_arrays(ar, M):
 
 
 def _sr_on_arrays(ar, M):
-    """``sr_form`` of a stack (..., 3, 3) of arrays: the principal 2x2 minors."""
+    """The norm sr of a stack (..., 3, 3) of arrays: the sum of the principal
+    2x2 minors."""
     def minor(p, q):
         return ar.sub(ar.mul(M[..., p, p], M[..., q, q]), ar.mul(M[..., p, q], M[..., q, p]))
 
@@ -382,25 +361,6 @@ class TruncatedPoly:
                             )
         return TruncatedPoly(self.field, out)
 
-    def partial_x(self):
-        """Formal d/dx; well defined on the quotient only in characteristic 3."""
-        out = [[self.field.zero] * 3 for _ in range(3)]
-        for i in range(1, 3):
-            for j in range(3):
-                a = self.coeffs[i][j]
-                if a:
-                    out[i - 1][j] = a * i
-        return TruncatedPoly(self.field, out)
-
-    def partial_y(self):
-        out = [[self.field.zero] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(1, 3):
-                a = self.coeffs[i][j]
-                if a:
-                    out[i][j - 1] = a * j
-        return TruncatedPoly(self.field, out)
-
     def is_zero(self):
         return all(not a for r in self.coeffs for a in r)
 
@@ -455,14 +415,6 @@ def diamond_truncated(f, g):
     return TruncatedPoly(field, out)
 
 
-def diamond_via_partials(f, g):
-    """The same product via f g - (f_x g_y - g_x f_y) x y."""
-    _require_char3(f.field)
-    field = f.field
-    jac = f.partial_x() * g.partial_y() - g.partial_x() * f.partial_y()
-    return f * g - jac * TruncatedPoly.monomial(field, 1, 1)
-
-
 #: monomial exponents (mod 3) matching the label order of OKUBO_INDICES
 CHAR3_MONOMIALS = tuple((i % 3, j % 3) for i, j in OKUBO_INDICES)
 
@@ -503,18 +455,6 @@ class Char3Model:
         scalar = poly.coefficient(0, 0)
         coords = [poly.coefficient(i, j) for i, j in CHAR3_MONOMIALS]
         return scalar, coords
-
-    def decompose(self, poly):
-        """Unit-decomposition data: f = c*1 + (element of the trace-zero span)."""
-        scalar, coords = self._split(poly)
-        return scalar, self.algebra.element(coords)
-
-    def to_poly(self, element):
-        acc = TruncatedPoly.zero(self.field)
-        for c, m in zip(element.coords, self.monomials):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
 
     def star(self, f, g):
         """The Okubo product on nonconstant spans: diamond minus its constant part."""

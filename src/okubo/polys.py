@@ -16,7 +16,7 @@ Math. Comp. 36, 1981), then Berlekamp's deterministic splitting of each
 equal-degree part.  Its cost depends on the polynomial, not on a seed, and
 it sorts the factors by the Scalar coefficients, so indices and Scalars give
 the same list.  The tests compare it with trial division by every monic
-irreducible of degree <= 4 (``irreducible_polys``).
+irreducible of degree <= 4.
 """
 
 from __future__ import annotations
@@ -234,13 +234,6 @@ def is_irreducible(poly, field):
             if not rem:
                 return False
     return True
-
-
-def irreducible_polys(field, deg):
-    """All monic irreducible polynomials of degree <= 4, in enumeration order."""
-    for cand in _monic_polys(field, deg):
-        if is_irreducible(cand, field):
-            yield cand
 
 
 def _factor_key(f, key=lambda c: repr(c.rep)):

@@ -1,5 +1,8 @@
 """The reference for the array pipeline: the derivation analysis, the
-MeatAxe and the sl3 model products on ``Scalar`` matrices.
+MeatAxe and the sl3 model products on ``Scalar`` matrices, with the
+characteristic polynomial, the sl3 norm and product on ``Matrix`` objects,
+the truncated-polynomial product by partial derivatives and the irreducible
+polynomials of degree <= 4 that the tests compare the package with.
 
 The package runs all of these on exact arrays (``okubo._encoded_lie``, one
 code path for three backends); the tests compare every stage with the
@@ -23,7 +26,7 @@ from okubo.algebra import StructureConstantAlgebra
 from okubo.errors import AmbientMismatch, BadCharacteristic, Inconclusive, InfiniteField, NotClosed
 from okubo.liealg import DerivationAnalysis, derivations
 from okubo.linalg import Matrix, Subspace, nullspace, rref
-from okubo.models import sr_form, sr_polar
+from okubo.models import TruncatedPoly
 
 # ---------------------------------------------------------------------------
 # subspaces
@@ -350,7 +353,7 @@ def is_simple_finite(lie, seed=0, max_trials=20):
     rng = random.Random(seed)
     for _ in range(max_trials):
         theta = _random_enveloping_element(gens, field, rng)
-        for f in polys.factor_into_irreducibles(theta.charpoly(), field):
+        for f in polys.factor_into_irreducibles(charpoly(theta), field):
             ker = nullspace(_poly_apply_matrix(f, theta))
             if ker.dim == 0:
                 continue
@@ -553,9 +556,116 @@ def sl3_products(model):
     basis = model.basis_matrices
     for a in basis:
         for b in basis:
-            if model.star(model.star(a, b), a) != sr_form(a) * b:
+            if star(model, star(model, a, b), a) != sr_form(a) * b:
                 raise AssertionError("(u*v)*u = sr(u)v fails on the model basis")
-    tensor = [[list(model.coords_of(model.star(a, b))) for b in basis] for a in basis]
+    tensor = [[list(model.coords_of(star(model, a, b))) for b in basis] for a in basis]
     values = [sr_form(m) for m in basis]
     polar = [[sr_polar(a, b) for b in basis] for a in basis]
     return tensor, values, polar
+
+
+def sr_form(a):
+    """Sum of the principal 2x2 minors of a 3x3 matrix."""
+    m = a.rows
+    return (
+        (m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        + (m[0][0] * m[2][2] - m[0][2] * m[2][0])
+        + (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+    )
+
+
+def sr_polar(a, b):
+    """Polar form of sr: tr(a)tr(b) - tr(ab), valid in every characteristic."""
+    return a.trace() * b.trace() - (a @ b).trace()
+
+
+def star(model, a, b):
+    """The product of an ``Sl3Model`` on two 3x3 matrices:
+    w ab - w^2 ba - ((w-w^2)/3) tr(ab) 1."""
+    w = model.omega
+    ab = a @ b
+    ba = b @ a
+    scalar = model._trace_coef * ab.trace()
+    return w * ab - (w * w) * ba - scalar * Matrix.identity(model.field, 3)
+
+
+def charpoly(matrix):
+    """Coefficients of det(xI - A), constant term first (Berkowitz, division-free)."""
+    n = matrix.nrows
+    if n != matrix.ncols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    field = matrix.field
+    zero, one = field.zero, field.one
+    if n == 0:
+        return [one]
+    a = matrix.rows
+    coeffs = [one, -a[0][0]]  # highest degree first
+    for r in range(2, n + 1):
+        rr = a[r - 1][: r - 1]
+        ss = [a[i][r - 1] for i in range(r - 1)]
+        col = [one, -a[r - 1][r - 1]]
+        v = list(ss)
+        for _ in range(r - 1):
+            col.append(-sum((x * y for x, y in zip(rr, v) if x and y), zero))
+            v = [
+                sum((a[i][j] * v[j] for j in range(r - 1) if a[i][j] and v[j]), zero)
+                for i in range(r - 1)
+            ]
+        # multiply the (r+1) x r Toeplitz matrix built from col into coeffs
+        new = []
+        for i in range(r + 1):
+            acc = zero
+            for j in range(r):
+                if 0 <= i - j < len(col):
+                    acc = acc + col[i - j] * coeffs[j]
+            new.append(acc)
+        coeffs = new
+    coeffs.reverse()
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# the truncated-polynomial model and the irreducible polynomials
+# ---------------------------------------------------------------------------
+
+
+def partial(f, axis):
+    """The formal d/dx (axis 0) or d/dy (axis 1) of a ``TruncatedPoly``; well
+    defined on the quotient only in characteristic 3."""
+    out = [[f.field.zero] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            e = (i, j)[axis]
+            if e and f.coeffs[i][j]:
+                out[i - (axis == 0)][j - (axis == 1)] = f.coeffs[i][j] * e
+    return TruncatedPoly(f.field, out)
+
+
+def diamond_via_partials(f, g):
+    """``models.diamond_truncated`` via f g - (f_x g_y - g_x f_y) x y."""
+    if f.field.characteristic != 3:
+        raise BadCharacteristic("the truncated product is characteristic 3 only")
+    jac = partial(f, 0) * partial(g, 1) - partial(g, 0) * partial(f, 1)
+    return f * g - jac * TruncatedPoly.monomial(f.field, 1, 1)
+
+
+def to_poly(model, element):
+    """The truncated polynomial of an element of a ``Char3Model``."""
+    acc = TruncatedPoly.zero(model.field)
+    for c, m in zip(element.coords, model.monomials):
+        if c:
+            acc = acc + m.scale(c)
+    return acc
+
+
+def decompose(model, poly):
+    """(c, element) with poly = c*1 + the element's truncated polynomial."""
+    scalar, coords = model._split(poly)
+    return scalar, model.algebra.element(coords)
+
+
+def irreducible_polys(field, deg):
+    """All monic irreducible polynomials of degree <= 4, in enumeration order."""
+    for cand in polys._monic_polys(field, deg):
+        if polys.is_irreducible(cand, field):
+            yield cand

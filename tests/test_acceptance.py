@@ -34,13 +34,13 @@ from okubo.models import (
     build_sl3_model,
     build_split_okubo,
     diamond_truncated,
-    diamond_via_partials,
     distinguished_idempotent,
     model_isomorphism_char_not3,
 )
 from scalar_reference import (
     center_of,
     derived_subalgebra,
+    diamond_via_partials,
     full_space,
     grading_on_derivations,
     inner_derivation_span,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okubo import _encoded_lie
 from okubo import algebra as algebra_module
 from okubo.algebra import (
     QuadraticForm,
@@ -387,6 +388,24 @@ class TestContractionLayer:
                 for j in range(8):
                     y = algebra.element(psi.col(j))
                     assert pulled[i][j] == algebra.multiply(x, y).coords
+
+    @pytest.mark.parametrize("case", ["gf(3)", "gf(3^2;t^2+1)", "gf(257)", "q(w)", "mutant"])
+    def test_array_contractions_match_object_path(self, case):
+        # the L/R stacks and the pulled-back tensor on the field's array
+        # backend (tables, mod-p arrays, Z[w]) against the Scalar contractions
+        algebra = contraction_algebra(case)
+        ar = _encoded_lie.arrays_for(algebra.field)
+        C = _encoded_lie.tensor_of(ar, algebra)
+        rng = random.Random(7)
+        xs = algebra.basis() + [algebra.random_element(rng) for _ in range(3)]
+        L, R = _encoded_lie.mult_stacks(ar, C, ar.array([x.coords for x in xs]))
+        assert ar.decode(L) == [list(map(list, algebra.left_mult_matrix(x).rows)) for x in xs]
+        assert ar.decode(R) == [list(map(list, algebra.right_mult_matrix(x).rows)) for x in xs]
+        for _ in range(2):
+            phi, psi = random_matrix(algebra.field, rng), random_matrix(algebra.field, rng)
+            pulled = _encoded_lie.pulled_tensor(ar, C, ar.array(phi.rows), ar.array(psi.rows))
+            expect = algebra.product_tensor(phi, psi)
+            assert ar.decode(pulled) == [[list(cell) for cell in row] for row in expect]
 
     def test_mult_matrix_rejects_foreign_element(self, okubo_gf3, okubo_gf7):
         with pytest.raises(AlgebraMismatch):

@@ -213,6 +213,46 @@ class TestSubcommands:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: okubo")
 
+    def test_parser_built_once(self, capsys):
+        parser = cli.build_parser()
+        assert main(["bogus"]) == 2
+        with pytest.raises(SystemExit):
+            main(["twist", "--help"])
+        capsys.readouterr()
+        assert cli.build_parser() is parser
+
+
+MIXED_RUN = [
+    ["verify", "--field", "gf(3)", "--trials", "10", "--seed", "4"],
+    ["twist", "--field", "gf(3)", "--idempotent", "1,0,0,0,0,0,0,0"],
+    ["verify", "--field", "gf(3)", "--seed", "x"],
+    ["twist", "--field", "gf(3^2;t^2+1)", "--idempotent", "1,1,1,1,1,1,1,1", "--trials", "30"],
+    ["census", "--field", "gf(3)", "--trials", "5"],
+    ["models", "--field", "gf(7)"],
+]
+
+
+def without_timestamp(text):
+    report = json.loads(text)
+    report.pop("timestamp", None)
+    return report
+
+
+def test_mixed_run_in_one_process_matches_fresh_processes(capsys):
+    # one parser serves every command line of a process, so a run of valid
+    # and invalid commands must report what each gives in a process of its own
+    in_process = []
+    for argv in MIXED_RUN:
+        code = main(list(argv))
+        in_process.append((code, without_timestamp(capsys.readouterr().out)))
+    fresh = []
+    for argv in MIXED_RUN:
+        proc = subprocess.run([sys.executable, "-m", "okubo.cli", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, without_timestamp(proc.stdout)))
+    assert [code for code, _ in in_process] == [0, 2, 2, 0, 2, 0]
+    assert in_process == fresh
+
 
 class TestExportAndReports:
     def test_export_round_trip(self, capsys, tmp_path):

@@ -118,6 +118,17 @@ def test_cube_root_present(spec, expected):
     assert w * w + w + f.one == f.zero
 
 
+@pytest.mark.parametrize("spec", ["gf(3^2;t^2+1)", "gf(2^4;t^4+t+1)", "gf(17^2;t^2+3)",
+                                  "gf(5^4;t^4+t^2+2t+2)", "gf(7^3;t^3+t+1)"])
+def test_extension_inverse_is_the_power_q_minus_2(spec):
+    # the extended Euclidean inverse against a^(q-2), by repeated squaring
+    field = field_from_spec(spec)
+    for a in field.elements():
+        if a:
+            assert a.inverse() == a ** (field.cardinality - 2)
+            assert a * a.inverse() == field.one
+
+
 @pytest.mark.parametrize("spec", ["gf(3)", "gf(5)", "q", "gf(3^2;t^2+1)", "gf(2)"])
 def test_cube_root_absent(spec):
     assert cube_root_of_unity(field_from_spec(spec)) is None

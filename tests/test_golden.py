@@ -1,6 +1,6 @@
-"""The ``results`` of ``derivations`` and ``models`` at seed 0, frozen from an
-earlier version of the program (``golden_results.json``): a change of
-backend or algorithm must not change a reported fact."""
+"""The ``results`` of ``derivations``, ``models`` and ``twist`` at seed 0,
+frozen from an earlier version of the program (``golden_results.json``): a
+change of backend or algorithm must not change a reported fact."""
 
 import json
 from pathlib import Path

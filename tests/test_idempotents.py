@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from okubo import _kernels
+from okubo import _encoded_lie, _kernels, idempotents
 from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _IntegerBatch, _ObjectBatch
 from okubo.errors import (
     BadCharacteristic,
@@ -273,6 +273,72 @@ class TestTwist:
         assert report.summary()["alternative_certificate_ok"] is True
         report.alternative_certificate_ok = False
         assert not report.passed and report.summary()["passed"] is False
+
+
+TWIST_CASES = [("gf(3)", "1,1,1,1,1,1,1,1"), ("gf(3^2;t^2+1)", "1,1,1,1,1,1,1,1"),
+               ("gf(2^2;t^2+t+1)", "1,1,0,0,0,0,0,0"), ("gf(257)", "1,1,0,0,0,0,0,0"),
+               ("q(w)", "1,1,0,0,0,0,0,0")]
+
+
+def twist_case(spec, idempotent):
+    field = field_from_spec(spec)
+    algebra = build_split_okubo(field)
+    return algebra, algebra.element([field.parse(c) for c in idempotent.split(",")])
+
+
+def one_entry_changed(ar, field, T, position=(0, 0, 0)):
+    """The array T with one added to the entry at ``position``."""
+    delta = [[[field.zero] * 8 for _ in range(8)] for _ in range(8)]
+    i, j, k = position
+    delta[i][j][k] = field.one
+    return ar.add(T, ar.array(delta))
+
+
+class TestTwistOnArrays:
+    @pytest.mark.parametrize("spec, idempotent", TWIST_CASES)
+    def test_twist_matches_object_path(self, spec, idempotent):
+        algebra, f = twist_case(spec, idempotent)
+        lf, rf = algebra.left_mult_matrix(f), algebra.right_mult_matrix(f)
+        ar, _, _, alf, arf = idempotents._twist(algebra, f)
+        assert ar.decode(alf) == [list(row) for row in lf.rows]
+        assert ar.decode(arf) == [list(row) for row in rf.rows]
+        assert petersson_twist(algebra, f).tensor == algebra.product_tensor(lf, rf)
+        assert twist_report(algebra, f, trials=20, seed=0).passed
+
+    @pytest.mark.parametrize("spec, idempotent", TWIST_CASES)
+    def test_one_entry_changed_fails_recovery_norm_and_certificate(self, spec, idempotent,
+                                                                     monkeypatch):
+        # the entry is one whose change breaks n(b_i . b_j) = n(b_i) n(b_j),
+        # as the form's own evaluation on the changed rows says
+        algebra, f = twist_case(spec, idempotent)
+        ar, C, T, lf, rf = idempotents._twist(algebra, f)
+        values = algebra.form.values
+        for k in range(8):
+            changed = one_entry_changed(ar, algebra.field, T, (0, 0, k))
+            rows = ar.decode(changed)
+            if not all(algebra.form.evaluate(rows[i][j]) == values[i] * values[j]
+                       for i in range(8) for j in range(8)):
+                break
+        else:
+            pytest.fail("no entry (0, 0, k) whose change breaks the norm")
+        monkeypatch.setattr(idempotents, "_twist", lambda *_: (ar, C, changed, lf, rf))
+        report = twist_report(algebra, f, trials=20, seed=0)
+        assert not report.recovery_ok
+        assert not report.norm_multiplicative_basis_ok
+        assert not report.alternative_certificate_ok
+        assert not report.passed
+
+    @pytest.mark.parametrize("spec, idempotent", TWIST_CASES)
+    def test_unit_check_catches_one_entry_changed(self, spec, idempotent, monkeypatch):
+        algebra, f = twist_case(spec, idempotent)
+        real = _encoded_lie.pulled_tensor
+
+        def mutated(ar, C, phi, psi):
+            return one_entry_changed(ar, algebra.field, real(ar, C, phi, psi))
+
+        monkeypatch.setattr(_encoded_lie, "pulled_tensor", mutated)
+        with pytest.raises(AssertionError, match="twist unit is not two-sided"):
+            twist_report(algebra, f, trials=20, seed=0)
 
 
 def twist_mutant(twisted):

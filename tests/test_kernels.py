@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okubo import _kernels
+from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _ObjectBatch
 from okubo.fields import GF, field_from_spec
+from okubo.idempotents import petersson_twist
 from okubo.linalg import Matrix, _rref_generic_reps, rref
 from okubo.models import build_split_okubo
 
@@ -111,6 +113,82 @@ def test_batch_multiply_matches_object_path(gf7, okubo_gf7):
         got = okubo_gf7.element(_kernels.decode_coords(gf7, Z[r]))
         assert got == expect
         assert gf7.element_from_index(int(polar[r])) == okubo_gf7.norm_polar(x, y)
+
+
+def random_tensor_algebra(field, seed):
+    """An algebra whose 512 structure constants are random field elements,
+    most of them outside the prime field."""
+    rng = random.Random(seed)
+    tensor = [[[field.random_scalar(rng) for _ in range(8)] for _ in range(8)] for _ in range(8)]
+    return StructureConstantAlgebra(field, 8, [str(i) for i in range(8)], tensor)
+
+
+def twisted_at(algebra):
+    """The twist at the all-ones idempotent in characteristic 3 (its tensor
+    has 272 nonzero entries), at b_0 + b_1 elsewhere."""
+    field = algebra.field
+    ones = [field.one] * 8 if field.characteristic == 3 else [field.one] * 2 + [field.zero] * 6
+    return petersson_twist(algebra, algebra.element(ones))
+
+
+@pytest.mark.parametrize("which", ["okubo", "twisted", "random"])
+@pytest.mark.parametrize(
+    "spec", ["gf(3)", "gf(7)", "gf(3^2;t^2+1)", "gf(3^4;t^4+t+2)", "gf(13^2;t^2+2)"])
+def test_batch_multiply_matches_object_batch(spec, which):
+    algebra = build_split_okubo(field_from_spec(spec))
+    if which == "twisted":
+        algebra = twisted_at(algebra)
+    elif which == "random":
+        algebra = random_tensor_algebra(algebra.field, seed=len(spec))
+    encoded, objects = _EncodedBatch(algebra), _ObjectBatch(algebra)
+    X, Y = encoded.draw(random.Random(4), 60, 2)
+    U, V = objects.draw(random.Random(4), 60, 2)
+    P, _ = encoded._certificate_points
+    Q, _ = objects._certificate_points
+    for (A, B), (S, T) in [((X, Y), (U, V)), ((P, P[::-1]), (Q, Q[::-1]))]:
+        Z = _kernels.batch_multiply(algebra.field, algebra.entries, A, B)
+        assert _kernels.decode_rows(algebra.field, Z) == [z.coords for z in objects.multiply(S, T)]
+
+
+def dense_tensor_entries(field, dim, value):
+    return [(i, j, k, value) for i in range(dim) for j in range(dim) for k in range(dim)]
+
+
+@pytest.mark.parametrize("x, y", [(250, 1), (250, 250), (1, 250)])
+def test_batch_multiply_exact_at_the_float32_bound(x, y):
+    # gf(251) has the largest k (p-1)^2 of the fields with tables.  With every
+    # coefficient p - 1 and every product x_i y_j = p - 1 (x = p - 1 and
+    # y = 1, or the reverse), each of the 64 terms of a coordinate is
+    # (p-1)^2 in the float32 sum, which reaches 64 * 250^2 = 4000000; the
+    # exact value is 64 (p-1) x y mod p.
+    field = GF(251)
+    entries = dense_tensor_entries(field, 8, field.from_int(250))
+    X, Y = np.full((3, 8), x), np.full((3, 8), y)
+    Z = _kernels.batch_multiply(field, entries, X, Y)
+    assert (Z == 64 * 250 * x * y % 251).all()
+    algebra = StructureConstantAlgebra(field, 8, [str(i) for i in range(8)],
+                                       [[[field.from_int(250)] * 8] * 8] * 8)
+    u, v = algebra.element([x] * 8), algebra.element([y] * 8)
+    assert _kernels.decode_coords(field, Z[0]) == algebra.multiply(u, v).coords
+
+
+@pytest.mark.parametrize("seed", [None, 9])
+def test_batch_multiply_exact_beyond_one_float32_slice(seed):
+    # in dimension 17 over gf(251) the 289 digit columns exceed the 268 whose
+    # sum float32 holds exactly, so the product is taken in two slices.  With
+    # every coefficient and product 249, the one sum would be the odd
+    # 289 * 249^2 > 2^24, which float32 cannot hold
+    field = GF(251)
+    entries = dense_tensor_entries(field, 17, field.from_int(249))
+    if seed is None:
+        X, Y = np.full((2, 17), 249), np.ones((2, 17), dtype=np.int64)
+    else:
+        rng = random.Random(seed)
+        X, Y = (np.array([[rng.randrange(251) for _ in range(17)] for _ in range(5)])
+                for _ in range(2))
+    Z = _kernels.batch_multiply(field, entries, X, Y)
+    expect = [249 * sum(x) * sum(y) % 251 for x, y in zip(X.tolist(), Y.tolist())]
+    assert Z.tolist() == [[e] * 17 for e in expect]
 
 
 @pytest.mark.parametrize("spec", ["gf(7)", "gf(2^2;t^2+t+1)"])

