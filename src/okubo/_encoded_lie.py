@@ -1,4 +1,4 @@
-"""The derivation analysis of ``liealg`` on exact arrays.
+"""The exact array backends, and the derivation analysis of ``liealg`` on them.
 
 ``arrays_for`` picks the array backend from the field:
 
@@ -12,16 +12,18 @@
 * ``_zw.ZwArrays``, over Q and Q(w): numerators a + b*w as numpy object
   arrays of Python ints over one positive denominator.
 
-All three have the same operations (``array``, ``decode``, ``add``, ``sub``,
-``neg``, ``mul``, ``matmul``, ``nonzero``, ``equal`` and ``rref``), and
-everything here is written once on them, apart from the Leibniz system
-(tables only; elsewhere it stays a ``Matrix`` for ``linalg``'s RREF) and the
-grading (characteristic 3, whose fields all have tables).  The two finite
-backends also give the MeatAxe its scalar arithmetic (``coefficients``, a
-``polys`` coefficient object, with ``entries``, ``from_entries`` and
-``concatenate``).  A linear map is a square array, a family of maps an
-(n, d, d) stack, a subspace its canonical RREF basis, and every product of
-maps is one ``matmul``.  The functions are ``leibniz_system``,
+All three have the same operations: ``array``, ``decode``, ``add``,
+``sub``, ``neg``, ``mul``, ``matmul``, ``nonzero``, ``equal`` and ``rref``,
+and for the identity checks of ``algebra.IdentityBatch``, ``random`` (the
+elements ``random_element`` draws) and ``bilinear`` (the bilinear map of a
+tensor on rows).  Everything here is written once on them, apart from the
+Leibniz system (tables only; elsewhere it stays a ``Matrix`` for
+``linalg``'s RREF) and the grading (characteristic 3, whose fields all have
+tables).  The two finite backends also give the MeatAxe its scalar
+arithmetic (``coefficients``, a ``polys`` coefficient object, with
+``entries``, ``from_entries`` and ``concatenate``).  A linear map is a
+square array, a family of maps an (n, d, d) stack, a subspace its canonical
+RREF basis, and every product of maps is one ``matmul``.  The functions are ``leibniz_system``,
 ``inner_span`` (with the Leibniz check of each ad*_u), ``lie_close``,
 ``EncodedLie`` (antisymmetry and Jacobi are checked on construction),
 ``derived``, ``killing_rank``, ``center_dim``, ``grading`` and
@@ -108,6 +110,18 @@ class TableArrays:
     def matmul(self, x, y):
         """Matrix products of stacks, broadcast as numpy's matmul does."""
         return _kernels.batch_matmul(self.field, x, y)
+
+    def bilinear(self, T):
+        """The bilinear map (X, Y) -> Z of a (dim, dim, K) array T, with
+        Z[n, k] = sum_ij X[n, i] Y[n, j] T[i, j, k] on (N, dim) rows:
+        ``_kernels.batch_multiply``, with T's digit matrix built once."""
+        field, digits = self.field, _kernels.bilinear_digits(self.field, T)
+        return lambda X, Y: _kernels.batch_multiply(field, digits, X, Y)
+
+    def random(self, rng, shape):
+        """An array of random elements from one randrange(q) per entry, in
+        row-major order: the encoded elements ``random_scalar`` draws."""
+        return np.array(_draw_indices(rng, self.tables.q, shape), dtype=np.int64).reshape(shape)
 
     def nonzero(self, x):
         return x != 0
@@ -207,6 +221,18 @@ class ModArrays:
         """Matrix products of stacks, broadcast as numpy's matmul does."""
         return self._times(x, y, lambda a, b: a @ b)
 
+    def bilinear(self, T):
+        """``TableArrays.bilinear``, by ``_zw.sparse_bilinear``, with the sums
+        reduced mod p."""
+        form = _zw.sparse_bilinear(self, T)
+        return lambda X, Y: ModArray(part % self.p for part in form(X, Y))
+
+    def random(self, rng, shape):
+        """``TableArrays.random``: the element with index e has the base-p
+        digits of e as its coordinates."""
+        e = np.array(_draw_indices(rng, self.field.cardinality, shape), dtype=object)
+        return ModArray((e // self.p**s % self.p).reshape(shape) for s in range(self.k))
+
     def nonzero(self, x):
         return np.logical_or.reduce([a != 0 for a in x.parts])
 
@@ -242,6 +268,11 @@ class ModArrays:
                 part[rows] = below
             pivots.append(c)
         return a, tuple(pivots)
+
+
+def _draw_indices(rng, q, shape):
+    rand = rng.randrange
+    return [rand(q) for _ in range(math.prod(shape))]
 
 
 def span(ar, x):

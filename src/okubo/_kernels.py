@@ -9,8 +9,13 @@ same kernels serve GF(p) and GF(p^k) alike.
   ``linalg``.  Spans, nullspaces and coordinates built on it return the
   canonical RREF bases that ``linalg.Subspace`` stores.
 * ``batch_matmul`` multiplies stacks of encoded matrices with numpy's
-  broadcasting; it forms every matrix product of the encoded derivation
-  analysis (``_encoded_lie``).
+  broadcasting, and ``batch_multiply`` evaluates the bilinear map of an
+  encoded tensor (``bilinear_digits``) on rows: a product of algebra
+  elements, a polar or a quadratic form.  Both are one exact float32
+  matrix product over the GF(p) digits of the elements
+  (``_digit_product``).  They form every product of ``TableArrays``: the
+  derivation analysis, the sl3 model, the twist and the identity checks
+  (``_encoded_lie``, ``algebra.IdentityBatch``).
 * The idempotent census has two scans that differ by algorithm, not by
   backend.  The main pass runs ``census_codes``, a split-grid scan that
   tabulates half-vector parts of v*v once and filters the grid of candidates
@@ -21,11 +26,8 @@ same kernels serve GF(p) and GF(p^k) alike.
   coordinate from n(v) = 1, although every nonzero idempotent satisfies it:
   the census reports check n(e) = 1, and a scan that assumed it would make
   that check pass by construction.
-* Batched products, quadratic and polar forms and minimal-polynomial
-  degrees of 3x3 matrices act on encoded coordinate rows; they serve the
-  composition identity checks, the twist's alternative laws and the
-  full-field census.  ``batch_multiply`` is one exact float32 matrix
-  product over the GF(p) digits of the encoded elements.
+* ``batch_minpoly_degrees`` gives the minimal-polynomial degrees of
+  stacks of 3x3 matrices for the full-field census.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class FieldTables:
         self.k = getattr(field, "degree", 1)
         digits = np.arange(q)[:, None] // self.p ** np.arange(self.k) % self.p
         self.digits = digits.astype(np.float32)
+        #: powers[s] is the index of t^s
+        self.powers = self.p ** np.arange(self.k)
 
     @functools.cached_property
     def product_digits(self):
@@ -108,7 +112,7 @@ def decode_coords(field, arr):
 
 
 # ---------------------------------------------------------------------------
-# row reduction
+# row reduction and products
 # ---------------------------------------------------------------------------
 
 
@@ -160,15 +164,69 @@ def nullspace_encoded(field, arr):
 
 
 def batch_matmul(field, A, B):
-    """Encoded products A @ B of (..., m, k) and (..., k, n) stacks, with the
-    leading axes broadcast as numpy's matmul does."""
+    """Encoded products A @ B of (..., m, K) and (..., K, n) stacks, with the
+    leading axes broadcast as numpy's matmul does: the GF(p) digits of A
+    times the digit matrices of multiplication by the entries of B, one
+    exact float32 product (``_digit_product``)."""
     t = tables_for(field)
-    A, B = np.asarray(A), np.asarray(B)
-    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
-    out = np.zeros(shape, dtype=np.int64)
-    for s in range(A.shape[-1]):
-        out = t.add[out, t.mul[A[..., :, s, None], B[..., None, s, :]]]
-    return out
+    A = np.asarray(A)
+    D = t.digits[A].reshape(*A.shape[:-1], A.shape[-1] * t.k)
+    return _digit_product(t, D, _times_digits(t, np.asarray(B)))
+
+
+def bilinear_digits(field, T):
+    """An encoded (dim, dim, K) tensor T as ``batch_multiply`` reads it:
+    (I, J, M), its nonzero pairs (I[n], J[n]), those with some T[i, j, k]
+    nonzero, and the digit matrix M of multiplication by their rows T[I, J]."""
+    t = tables_for(field)
+    I, J = np.nonzero((T != 0).any(axis=-1))
+    return I, J, _times_digits(t, T[I, J])
+
+
+def batch_multiply(field, T, X, Y):
+    """Row-wise values Z[n, k] = sum_ij X[n, i] Y[n, j] T[i, j, k] of the
+    bilinear map of an encoded tensor, given as (I, J, M) by
+    ``bilinear_digits``: the product of two algebra elements, their polar
+    form or, with Y = X, a quadratic form.  The product x_i y_j of each
+    nonzero pair is looked up once, as its digits in ``product_digits``; the
+    sum over the pairs is then one ``_digit_product`` with M."""
+    t = tables_for(field)
+    I, J, M = T
+    products = np.take(X, I, axis=-1)
+    products *= t.q
+    products += np.take(Y, J, axis=-1)  # a * q + b for each pair (a, b) of factors
+    D = np.take(t.product_digits, products, axis=0)
+    return _digit_product(t, D.reshape(*products.shape[:-1], products.shape[-1] * t.k), M)
+
+
+def _times_digits(t, B):
+    """(..., K * k, n * k) float32 for encoded (..., K, n) stacks B: row
+    s k + r, column b k + u holds digit u of t^r B[s, b].  Multiplication by
+    B[s, b] is GF(p)-linear, so the digits of a times it are the digits of a
+    times these rows."""
+    K, n = B.shape[-2:]
+    M = t.product_digits[B[..., :, None, :] * t.q + t.powers[:, None]]  # (..., K, k, n, k)
+    return M.reshape(*B.shape[:-2], K * t.k, n * t.k)
+
+
+def _digit_product(t, D, M):
+    """The encoded elements whose digits are D @ M mod p, for float32 digit
+    stacks D (..., m, L) and M (..., L, n k), broadcast as numpy's matmul
+    does: an (..., m, n) int64 array, zeros when L = 0.
+
+    Exact: every entry of D and M is an integer in [0, p), so a sum of m of
+    their products is an integer of at most m (p-1)^2.  float32 holds every
+    integer below 2^24 and so every partial sum of a slice of
+    (2^24 - 1) // (p-1)^2 columns, in any order of summation; the slices are
+    added in int64.
+    """
+    p, k = t.p, t.k
+    step = (2**24 - 1) // (p - 1) ** 2
+    Z = (D[..., :step] @ M[..., :step, :]).astype(np.int64)
+    for a in range(step, D.shape[-1], step):
+        Z += (D[..., a : a + step] @ M[..., a : a + step, :]).astype(np.int64)
+    Z %= p
+    return Z.reshape(*Z.shape[:-1], Z.shape[-1] // k, k) @ t.powers
 
 
 # ---------------------------------------------------------------------------
@@ -293,86 +351,8 @@ def decode_census(field, codes, dim):
 
 
 # ---------------------------------------------------------------------------
-# batched products, forms and 3x3 matrices on encoded coordinate rows
+# 3x3 matrices
 # ---------------------------------------------------------------------------
-
-
-def batch_multiply(field, tensor_entries, X, Y):
-    """Row-wise products Z[r] = X[r] * Y[r] for encoded coordinate batches:
-    z_k = sum c x_i y_j over the entries (i, j, k, c), as one exact float32
-    matrix product over GF(p).
-
-    The product x_i y_j of each distinct pair (i, j) is looked up once, as
-    its k base-p digits d_s: index sum d_s p^s is the element sum d_s t^s.
-    Multiplication by c is GF(p)-linear, so digit r of z_k is the sum of
-    d_s(x_i y_j) digit_r(c t^s) mod p: the (N, pairs*k) digits times the
-    (pairs*k, dim*k) digit matrix of the c t^s.  Exact: a sum of m products
-    of integers in [0, p) is at most m (p-1)^2, and float32 holds every
-    integer below 2^24, so slices of (2^24 - 1) // (p-1)^2 columns are
-    exact in any order of summation.  In dimension 8 there are at most 64 k
-    columns, and 64 k (p-1)^2 <= 64 * 250^2 = 4000000 < 2^24 for every
-    q = p^k <= 256 (k (p-1)^2 is largest at p = 251), so one slice serves
-    every field with tables.
-    """
-    t = tables_for(field)
-    p, k, dim = t.p, t.k, X.shape[1]
-    entries = np.array(_encode_entries(field, tensor_entries), dtype=np.int64)
-    i, j, kk, c = entries.reshape(-1, 4).T
-    pairs, pos = np.unique(i * dim + j, return_inverse=True)
-    s = np.arange(k)
-    # M[pair, s, kk, r] = digit r of c t^s, summed over the entries; t^s has index p^s
-    M = np.zeros((len(pairs), k, dim, k), dtype=np.float32)
-    np.add.at(M, (pos[:, None], s, kk[:, None]), t.digits[t.mul[c[:, None], p**s]])
-    M = (M % p).reshape(len(pairs) * k, dim * k)
-    I, J = np.divmod(pairs, dim)
-    products = np.take(X, I, axis=1)
-    products *= t.q
-    products += np.take(Y, J, axis=1)  # a * q + b for each pair (a, b) of factors
-    D = np.take(t.product_digits, products, axis=0).reshape(len(X), len(M))
-    Z = np.zeros((len(X), dim * k), dtype=np.int64)
-    step = (2**24 - 1) // (p - 1) ** 2
-    for a in range(0, len(M), step):
-        Z += (D[:, a : a + step] @ M[a : a + step]).astype(np.int64)
-    return (Z % p).reshape(-1, dim, k) @ p**s
-
-
-def batch_quadratic_form(field, form, X):
-    """Encoded values n(x) of a ``QuadraticForm`` on the encoded rows of X."""
-    t = tables_for(field)
-    dim = X.shape[1]
-    out = np.zeros(X.shape[0], dtype=np.int64)
-    for i in range(dim):
-        for j in range(i, dim):
-            c = form.values[i] if i == j else form.polar[i, j]
-            if c:
-                term = t.mul[X[:, i], X[:, j]]
-                out = t.add[out, t.mul[field.element_index(c), term]]
-    return out
-
-
-def batch_polar_form(field, form, X, Y):
-    """Encoded values n(x, y) of the polar form of a ``QuadraticForm`` on the
-    row pairs of X and Y."""
-    t = tables_for(field)
-    dim = X.shape[1]
-    out = np.zeros(X.shape[0], dtype=np.int64)
-    for i in range(dim):
-        for j in range(dim):
-            c = form.polar[i, j]
-            if c:
-                term = t.mul[X[:, i], Y[:, j]]
-                out = t.add[out, t.mul[field.element_index(c), term]]
-    return out
-
-
-def batch_linear_combination(field, X, vectors):
-    """Rows sum_i X[r, i] vectors[i], for encoded coefficient rows X (N, n)
-    and encoded vectors (n, m)."""
-    t = tables_for(field)
-    out = np.zeros((X.shape[0], vectors.shape[1]), dtype=np.int64)
-    for i in range(X.shape[1]):
-        out = t.add[out, t.mul[X[:, i][:, None], vectors[i][None, :]]]
-    return out
 
 
 def batch_minpoly_degrees(field, M):
@@ -386,11 +366,7 @@ def batch_minpoly_degrees(field, M):
     """
     t = tables_for(field)
     N, n, _ = M.shape
-    sq = np.zeros_like(M)
-    for r in range(n):
-        for s in range(n):
-            for k in range(n):
-                sq[:, r, s] = t.add[sq[:, r, s], t.mul[M[:, r, k], M[:, k, s]]]
+    sq = batch_matmul(field, M, M)
 
     def shifted(A):
         A = A.copy()
@@ -406,11 +382,3 @@ def batch_minpoly_degrees(field, M):
             parallel &= t.mul[a[:, p], b[:, r]] == t.mul[a[:, r], b[:, p]]
     scalar = (a == 0).all(axis=1)
     return np.where(scalar, 1, np.where(parallel, 2, 3))
-
-
-def random_coord_batch(field, rng, count, dim):
-    t = tables_for(field)
-    return np.array(
-        [[rng.randrange(t.q) for _ in range(dim)] for _ in range(count)],
-        dtype=np.int64,
-    )

@@ -3,13 +3,11 @@
 An element of Q(w) is (a + b*w)/d with integers a, b and d > 0, where
 w^2 = -1 - w; Q is the case b = 0.  Arrays hold the numerators a and b as
 numpy object arrays of Python ints, which never overflow, so nothing is
-truncated.  Two layers share this arithmetic:
-
-* ``algebra._IntegerBatch`` runs the identity checks of ``verify`` and
-  ``twist``, with one denominator per row;
-* ``ZwArrays`` is the exact array backend over Q and Q(w) of the derivation
-  analysis (``_encoded_lie``) and of the sl3 matrix model (``models``), with
-  one denominator per array.
+truncated.  ``ZwArrays`` is the exact array backend over Q and Q(w), with
+one denominator per array, of every array computation (``_encoded_lie``):
+the identity checks of ``verify`` and ``twist``, the derivation analysis
+and the sl3 matrix model.  ``sparse_bilinear`` gives bilinear maps to the
+object backends, ``ZwArrays`` and ``_encoded_lie.ModArrays``.
 
 ``PartsArray`` gives the views (indexing, reshaping, transposing) of an
 array held as several numpy arrays; ``ZwArray`` and ``_encoded_lie.ModArray``
@@ -47,27 +45,35 @@ def matmul(a1, b1, a2, b2):
     return aa - bb, (a1 + b1) @ (a2 + b2) - aa - bb - bb
 
 
-def common_denominator(scalars):
-    """The least common denominator of Scalars of Q or Q(w)."""
-    return math.lcm(1, *(rep(s)[2] for s in scalars))
+def sparse_bilinear(ar, T):
+    """The bilinear map of a (dim, dim, K) array T on an object backend
+    ``ar`` (see ``_encoded_lie.TableArrays.bilinear``), as a function of
+    (X, Y) that returns the (N, K) sums of the result's parts, not reduced.
+    Each column x_i y_j of a pair (i, j) with some T[i, j, k] nonzero is
+    formed once and scaled by those T[i, j, k]; the running sums hold whole
+    columns only, never every product at once."""
+    nonzero = ar.nonzero(T)
+    terms = []
+    for i, j in zip(*np.nonzero(nonzero.any(axis=2))):
+        ks = np.flatnonzero(nonzero[i, j])
+        terms.append((i, j, ks, T[i, j, ks][None]))
 
+    def form(X, Y):
+        Z = [np.zeros((len(X), T.shape[2]), dtype=object) for _ in X.parts]
+        for i, j, ks, c in terms:
+            term = ar.mul(ar.mul(X[:, i, None], Y[:, j, None]), c)
+            for z, part in zip(Z, term.parts):
+                z[:, ks] += part
+        return Z
 
-def numerators(coeffs, den):
-    """{key: (a, b)} with coeffs[key] = (a + b*w)/den, for the nonzero values
-    of a dict of Scalars of Q or Q(w) whose denominators divide den."""
-    out = {}
-    for key, s in coeffs.items():
-        if s:
-            a, b, d = rep(s)
-            out[key] = (a * (den // d), b * (den // d))
-    return out
+    return form
 
 
 class PartsArray:
     """An array held as numpy arrays of one shape, its parts.  Indexing,
     reshaping and transposing act on every part alike, as on a numpy array.
-    A subclass gives ``_each(fn)``, the array with fn applied to each part,
-    and ``_lead``, one of its parts."""
+    A subclass gives ``parts``, ``_each(fn)``, the array with fn applied to
+    each part, and ``_lead``, one of its parts."""
 
     __slots__ = ()
 
@@ -104,6 +110,10 @@ class ZwArray(PartsArray):
     @property
     def _lead(self):
         return self.a
+
+    @property
+    def parts(self):
+        return self.a, self.b
 
     def _each(self, fn):
         return ZwArray(fn(self.a), fn(self.b), self.den)
@@ -159,12 +169,35 @@ class ZwArrays:
         return ZwArray(-x.a, -x.b, x.den)
 
     def mul(self, x, y):
-        """Elementwise products, broadcast as numpy does."""
+        """Elementwise products, broadcast as numpy does; two products, not
+        three, when one operand is rational."""
+        if not y.b.any():
+            return ZwArray(x.a * y.a, x.b * y.a, x.den * y.den)
+        if not x.b.any():
+            return ZwArray(x.a * y.a, x.a * y.b, x.den * y.den)
         return ZwArray(*mul(x.a, x.b, y.a, y.b), x.den * y.den)
 
     def matmul(self, x, y):
         """Matrix products of stacks, broadcast as numpy's matmul does."""
         return ZwArray(*matmul(x.a, x.b, y.a, y.b), x.den * y.den)
+
+    def bilinear(self, T):
+        """``_encoded_lie.TableArrays.bilinear``, by ``sparse_bilinear``."""
+        form = sparse_bilinear(self, T)
+        return lambda X, Y: ZwArray(*form(X, Y), X.den * Y.den * T.den)
+
+    def random(self, rng, shape):
+        """An array of the elements ``random_scalar`` draws, from the same
+        randrange calls in row-major order: a coordinate of Q(w) is
+        denominator, then a, then b; one of Q is numerator, then denominator."""
+        rand, n = rng.randrange, math.prod(shape)
+        if isinstance(self.field, RationalOmegaField):
+            dab = [(rand(1, 8), rand(-9, 10), rand(-9, 10)) for _ in range(n)]
+        else:
+            dab = [(d, a, 0) for a, d in [(rand(-9, 10), rand(1, 8)) for _ in range(n)]]
+        d, a, b = np.array(dab, dtype=np.int64).reshape(n, 3).T.astype(object)
+        den = math.lcm(*d)
+        return ZwArray((a * (den // d)).reshape(shape), (b * (den // d)).reshape(shape), den)
 
     def nonzero(self, x):
         return (x.a != 0) | (x.b != 0)

@@ -22,26 +22,26 @@ triples prove it.  The nonlinear identities n(x*y) = n(x)n(y) and
 the second), so they are proved by certificates: their values on the basis
 and on all sums of two basis vectors.  Randomized element trials of all
 three identities stay as a second route.  Every check, the basis ones
-included, runs on one batch layer (``identity_batch``): exact integer arrays
-over Q and Q(w) (``_IntegerBatch``), integer-encoded arrays over fields with
-lookup tables (``_kernels.supports_field``), and elements over larger finite
-fields (``_ObjectBatch``, also the oracle the other two are tested against).
-All of them draw the trial elements from the same random stream in the same
-order, so their reports are identical.
+included, runs on one ``IdentityBatch`` on the field's exact array backend
+(``_encoded_lie.arrays_for``): the product, the norm and its polar form are
+each one ``bilinear`` map of the backend, and the trial elements come from
+its ``random``, which draws what ``random_element`` draws, from the same
+randrange calls in the same order.  The element path in the tests
+(``scalar_reference.ObjectBatch``) is the oracle the reports are compared
+with.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _kernels, _zw
+from . import _encoded_lie
 from .errors import AlgebraMismatch, CoordinateCount, NoForm
-from .fields import RationalOmegaField, field_from_spec
+from .fields import field_from_spec
 from .linalg import Matrix, Subspace, nullspace
 
 
@@ -306,7 +306,7 @@ class StructureConstantAlgebra:
         if self.form is None:
             raise NoForm("symmetric composition needs a quadratic form")
         rng = random.Random(seed)
-        batch = identity_batch(self)
+        batch = IdentityBatch(self)
         checks = self._basis_checks(batch)
         checks.extend(self._composition_certificates(batch))
 
@@ -337,14 +337,14 @@ class StructureConstantAlgebra:
                         for i in range(dim) for j in range(dim)])
         i, j, k = (a.ravel() for a in np.indices((dim, dim, dim)))
         ok = batch.equal(
-            batch.polar(batch.take(P, i * dim + j), batch.take(B, k)),
-            batch.polar(batch.take(B, i), batch.take(P, j * dim + k)),
+            batch.polar(P[i * dim + j], B[k]),
+            batch.polar(B[i], P[j * dim + k]),
         )
         checks = [IdentityCheck.of("polar_associative_basis", ok,
                                    lambda r: (labels[i[r]], labels[j[r]], labels[k[r]]))]
 
         row, col = (a.ravel() for a in np.indices((dim, dim)))
-        X, Y, XY = batch.take(B, row), batch.take(B, col), batch.take(P, row * dim + col)
+        X, Y, XY = B[row], B[col], P[row * dim + col]
 
         def pair(r):
             return labels[row[r]], labels[col[r]]
@@ -357,7 +357,7 @@ class StructureConstantAlgebra:
     def _composition_certificates(self, batch):
         """Complete checks of n(x*y) = n(x)n(y), quadratic in x and y (36 * 36
         cases), and (x*y)*x = n(x)y = x*(y*x), quadratic in x and linear in y
-        (36 * 8 cases); see ``_Batch.certificate_cases``."""
+        (36 * 8 cases); see ``IdentityBatch.certificate_cases``."""
         X, Y, label = batch.certificate_cases()
         xyx = batch.xyx_identity(X, Y, batch.multiply(X, Y))
         checks = [IdentityCheck.of("xyx_identity_certificate", xyx, label)]
@@ -417,25 +417,52 @@ class StructureConstantAlgebra:
         return f"StructureConstantAlgebra(dim {self.dim} over {self.field})"
 
 
-def identity_batch(algebra):
-    """Exact integer arrays over Q and Q(w), encoded arrays when the field has
-    lookup tables, elements otherwise."""
-    if algebra.field.characteristic == 0:
-        return _IntegerBatch(algebra)
-    if _kernels.supports_field(algebra.field):
-        return _EncodedBatch(algebra)
-    return _ObjectBatch(algebra)
+class IdentityBatch:
+    """Row-wise identity arithmetic on batches of elements of one algebra, on
+    the field's exact array backend ``ar`` (``_encoded_lie.arrays_for``).
 
-
-class _Batch:
-    """Row-wise identity arithmetic on a batch of elements of one algebra.
-
-    Subclasses hold a batch in their own format and supply the primitives;
-    ``equal`` and the identities return one bool per row.
+    A batch is an (N, dim) array of coordinate rows, a batch of scalars an
+    (N, 1) array.  The product, the norm and its polar form are each one
+    ``ar.bilinear`` map, of the structure tensor and of the (dim, dim, 1)
+    tensors of the form; ``equal`` and the identities return one bool per
+    row.
     """
 
     def __init__(self, algebra):
         self.algebra = algebra
+        self.ar = ar = _encoded_lie.arrays_for(algebra.field)
+        self.multiply = ar.bilinear(_encoded_lie.tensor_of(ar, algebra))
+
+    @functools.cached_property
+    def _forms(self):
+        """The bilinear maps of n(x) = sum_(i <= j) Q[i][j] x_i x_j, with
+        Q[i][i] = n(b_i) and Q[i][j] = n(b_i, b_j) above the diagonal, and of
+        the polar form n(x, y)."""
+        form, dim, zero = self.algebra.form, self.algebra.dim, self.algebra.field.zero
+        Q = [[[form.values[i] if i == j else form.polar[i, j] if i < j else zero]
+              for j in range(dim)] for i in range(dim)]
+        polar = [[[form.polar[i, j]] for j in range(dim)] for i in range(dim)]
+        return self.ar.bilinear(self.ar.array(Q)), self.ar.bilinear(self.ar.array(polar))
+
+    def norm(self, X):
+        return self._forms[0](X, X)
+
+    def polar(self, X, Y):
+        return self._forms[1](X, Y)
+
+    def rows(self, elements):
+        return self.ar.array([x.coords for x in elements])
+
+    def times(self, a, b):
+        """Elementwise products of batches, broadcast: scalars times scalars,
+        or rows times scalars."""
+        return self.ar.mul(a, b)
+
+    def equal(self, A, B):
+        return self.ar.equal(A, B).all(axis=1)
+
+    def coords_text(self, X, r):
+        return tuple(map(str, self.ar.decode(X[r])))
 
     @functools.cached_property
     def _certificate_points(self):
@@ -456,14 +483,14 @@ class _Batch:
         P, names = self._certificate_points
         ny = len(names) if y_quadratic else self.algebra.dim
         xs, ys = np.divmod(np.arange(len(names) * ny), ny)
-        return self.take(P, xs), self.take(P, ys), lambda r: (names[xs[r]], names[ys[r]])
+        return P[xs], P[ys], lambda r: (names[xs[r]], names[ys[r]])
 
     def draw(self, rng, count, arity):
         """``arity`` batches of ``count`` random elements, drawn in turn from
-        one stream: x, y, z of the first trial, then of the second, ..."""
-        rand = self.algebra.random_element
-        draws = [[rand(rng) for _ in range(arity)] for _ in range(count)]
-        return tuple(self.rows([t[n] for t in draws]) for n in range(arity))
+        one stream: x, y, z of the first trial, then of the second, ...; the
+        elements ``random_element`` draws, from the same randrange calls."""
+        draws = self.ar.random(rng, (count, arity, self.algebra.dim))
+        return tuple(draws[:, n] for n in range(arity))
 
     def norm_multiplicative(self, X, Y, XY):
         """n(x*y) = n(x)n(y) on each row, given XY = X*Y."""
@@ -471,7 +498,7 @@ class _Batch:
 
     def xyx_identity(self, X, Y, XY):
         """(x*y)*x = n(x)y = x*(y*x) on each row, given XY = X*Y."""
-        nxy = self.scale(Y, self.norm(X))
+        nxy = self.times(Y, self.norm(X))
         left = self.equal(self.multiply(XY, X), nxy)
         return left & self.equal(self.multiply(X, self.multiply(Y, X)), nxy)
 
@@ -480,210 +507,6 @@ class _Batch:
         XX = self.multiply(X, X)
         left = self.equal(self.multiply(X, self.multiply(X, Y)), self.multiply(XX, Y))
         return left & self.equal(self.multiply(self.multiply(Y, X), X), self.multiply(Y, XX))
-
-
-class _ObjectBatch(_Batch):
-    """Lists of AlgebraElements and Scalars: exact arithmetic over any field."""
-
-    def rows(self, elements):
-        return list(elements)
-
-    def take(self, batch, index):
-        return [batch[i] for i in index]
-
-    def multiply(self, X, Y):
-        return [self.algebra.multiply(x, y) for x, y in zip(X, Y)]
-
-    def norm(self, X):
-        return [self.algebra.norm(x) for x in X]
-
-    def polar(self, X, Y):
-        return [self.algebra.norm_polar(x, y) for x, y in zip(X, Y)]
-
-    def scale(self, X, s):
-        return [x * c for x, c in zip(X, s)]
-
-    def times(self, a, b):
-        return [u * v for u, v in zip(a, b)]
-
-    def equal(self, A, B):
-        return np.array([u == v for u, v in zip(A, B)], dtype=bool)
-
-    def coords_text(self, X, r):
-        return tuple(map(str, X[r].coords))
-
-
-class _EncodedBatch(_Batch):
-    """Integer-encoded arrays: coordinate rows (N, dim) and scalars (N,),
-    computed through the field's lookup tables in ``_kernels``."""
-
-    def __init__(self, algebra):
-        super().__init__(algebra)
-        self.field = algebra.field
-        self.tables = _kernels.tables_for(algebra.field)
-
-    def rows(self, elements):
-        return _kernels.encode_rows(self.field, [x.coords for x in elements])
-
-    def take(self, batch, index):
-        return batch[index]
-
-    def draw(self, rng, count, arity):
-        # a finite field's random_scalar is one randrange(q) whose value is
-        # the encoded element, so these are the elements _ObjectBatch draws
-        dim = self.algebra.dim
-        draws = _kernels.random_coord_batch(self.field, rng, arity * count, dim)
-        draws = draws.reshape(count, arity, dim)
-        return tuple(draws[:, n] for n in range(arity))
-
-    def multiply(self, X, Y):
-        return _kernels.batch_multiply(self.field, self.algebra.entries, X, Y)
-
-    def norm(self, X):
-        return _kernels.batch_quadratic_form(self.field, self.algebra.form, X)
-
-    def polar(self, X, Y):
-        return _kernels.batch_polar_form(self.field, self.algebra.form, X, Y)
-
-    def scale(self, X, s):
-        return self.tables.mul[s[:, None], X]
-
-    def times(self, a, b):
-        return self.tables.mul[a, b]
-
-    def equal(self, A, B):
-        same = A == B
-        return same.all(axis=1) if same.ndim == 2 else same
-
-    def coords_text(self, X, r):
-        return tuple(str(self.tables.elements[c]) for c in X[r])
-
-
-class _IntegerBatch(_Batch):
-    """Exact arrays over Q and Q(w) with no gcd anywhere.
-
-    A batch is a triple (a, b, d): the numerators a + b*w (w^2 = -1 - w) as
-    numpy object arrays of Python ints, of shape (N, dim) for coordinate rows
-    or (N,) for scalars, and one positive integer denominator per row in d.
-    Q is the case b = 0.  Python ints never overflow, so nothing is
-    truncated.  The tensor and the form are each scaled once by their common
-    denominator; rows are compared by cross-multiplying with the
-    denominators.  The Z[w] arithmetic is ``_zw``'s, which the derivation
-    analysis and the sl3 model share.
-    """
-
-    def __init__(self, algebra):
-        super().__init__(algebra)
-        self.field = algebra.field
-        coeffs = {(i, j, k): c for i, j, k, c in algebra.entries}
-        self.tensor_den = _zw.common_denominator(coeffs.values())
-        # the entries grouped by (i, j), so each column x_i y_j is formed once
-        self.products = {}
-        for (i, j, k), c in _zw.numerators(coeffs, self.tensor_den).items():
-            self.products.setdefault((i, j), []).append((k, c))
-
-    @functools.cached_property
-    def _form_terms(self):
-        """(den, quadratic terms, polar terms): the numerators over den of the
-        coefficients of n(x) (pairs i <= j) and of n(x, y) (all pairs)."""
-        form, dim = self.algebra.form, self.algebra.dim
-        polar = {(i, j): form.polar[i, j] for i in range(dim) for j in range(dim)}
-        quad = {(i, j): form.values[i] if i == j else c for (i, j), c in polar.items() if i <= j}
-        den = _zw.common_denominator([*quad.values(), *polar.values()])
-        return den, _zw.numerators(quad, den), _zw.numerators(polar, den)
-
-    def draw(self, rng, count, arity):
-        """The elements ``_Batch.draw`` draws, from the same randrange calls in
-        the same order, without building Scalars: a coordinate of Q is
-        numerator then denominator, one of Q(w) is denominator, then a, then
-        b.  The rows equal ``rows`` of those elements up to the reduction of
-        each coordinate."""
-        rand, dim = rng.randrange, self.algebra.dim
-
-        def omega_coordinate():
-            d = rand(1, 8)
-            return rand(-9, 10), rand(-9, 10), d
-
-        def rational_coordinate():
-            return rand(-9, 10), 0, rand(1, 8)
-
-        coordinate = (omega_coordinate if isinstance(self.field, RationalOmegaField)
-                      else rational_coordinate)
-        draws = [coordinate() for _ in range(count * arity * dim)]
-        draws = np.array(draws, dtype=np.int64).reshape(count, arity, dim, 3)
-        a, b, d = draws.transpose(3, 1, 0, 2)  # each (arity, count, dim)
-        den = np.lcm.reduce(d, axis=2)
-        a, b = a * (den[..., None] // d), b * (den[..., None] // d)
-        return tuple((a[n].astype(object), b[n].astype(object), den[n].astype(object))
-                     for n in range(arity))
-
-    def rows(self, elements):
-        reps = [[_zw.rep(c) for c in x.coords] for x in elements]
-        dens = [math.lcm(*(d for *_, d in row)) for row in reps]
-        scaled = [[(a * (m // d), b * (m // d)) for a, b, d in row] for row, m in zip(reps, dens)]
-        ab = np.array(scaled, dtype=object).reshape(len(reps), self.algebra.dim, 2)
-        return ab[..., 0], ab[..., 1], np.array(dens, dtype=object)
-
-    def take(self, batch, index):
-        return tuple(part[index] for part in batch)
-
-    def multiply(self, X, Y):
-        (xa, xb, xd), (ya, yb, yd) = X, Y
-        za, zb = np.zeros(xa.shape, dtype=object), np.zeros(xa.shape, dtype=object)
-        for (i, j), terms in self.products.items():
-            pa, pb = _zw.mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
-            for k, (ca, cb) in terms:
-                ta, tb = _zw.mul(pa, pb, ca, cb)
-                za[:, k] += ta
-                zb[:, k] += tb
-        return za, zb, xd * yd * self.tensor_den
-
-    def norm(self, X):
-        den, quad, _ = self._form_terms
-        xa, xb, xd = X
-        return (*self._form_sum(quad, xa, xb, xa, xb), xd * xd * den)
-
-    def polar(self, X, Y):
-        den, _, polar = self._form_terms
-        (xa, xb, xd), (ya, yb, yd) = X, Y
-        return (*self._form_sum(polar, xa, xb, ya, yb), xd * yd * den)
-
-    @staticmethod
-    def _form_sum(terms, xa, xb, ya, yb):
-        """Numerators of sum c_ij x_i y_j over the scaled terms."""
-        na, nb = np.zeros(len(xa), dtype=object), np.zeros(len(xa), dtype=object)
-        for (i, j), (ca, cb) in terms.items():
-            pa, pb = _zw.mul(xa[:, i], xb[:, i], ya[:, j], yb[:, j])
-            ta, tb = _zw.mul(pa, pb, ca, cb)
-            na += ta
-            nb += tb
-        return na, nb
-
-    def scale(self, X, s):
-        (xa, xb, xd), (sa, sb, sd) = X, s
-        return (*_zw.mul(xa, xb, sa[:, None], sb[:, None]), xd * sd)
-
-    def times(self, s, t):
-        (sa, sb, sd), (ta, tb, td) = s, t
-        return (*_zw.mul(sa, sb, ta, tb), sd * td)
-
-    def equal(self, A, B):
-        (aa, ab, ad), (ba, bb, bd) = A, B
-        if aa.ndim == 2:
-            ad, bd = ad[:, None], bd[:, None]
-        same = (aa * bd == ba * ad) & (ab * bd == bb * ad)
-        return same.all(axis=1) if same.ndim == 2 else same
-
-    def coords_text(self, X, r):
-        a, b, d = X
-        field = self.field
-        text = []
-        for u, v in zip(a[r], b[r]):
-            s = field.from_int(u)
-            if v:  # only Q(w) rows have a w-part
-                s = s + field.omega * v
-            text.append(str(s / d[r]))
-        return tuple(text)
 
 
 @dataclass(eq=False)

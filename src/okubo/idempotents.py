@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _encoded_lie, _kernels
-from .algebra import StructureConstantAlgebra, identity_batch
+from .algebra import IdentityBatch, StructureConstantAlgebra
 from .errors import (
     BadCharacteristic,
     BudgetExceeded,
@@ -114,6 +114,7 @@ def find_idempotents_slice_search(algebra, count, seed=0, free=3, max_slices=200
     q = field.cardinality
     dim = algebra.dim
     rng = random.Random(seed)
+    multiply = IdentityBatch(algebra).multiply
     found = {}
     for _ in range(max_slices):
         if len(found) >= count:
@@ -127,7 +128,7 @@ def find_idempotents_slice_search(algebra, count, seed=0, free=3, max_slices=200
             for p in positions:
                 batch[r, p] = x % q
                 x //= q
-        prod = _kernels.batch_multiply(field, algebra.entries, batch, batch)
+        prod = multiply(batch, batch)
         hits = np.nonzero((prod == batch).all(axis=1) & batch.any(axis=1))[0]
         for r in hits.tolist():
             el = algebra.element(_kernels.decode_coords(field, batch[r]))
@@ -260,11 +261,11 @@ class TwistReport:
         }
 
 
-def _alternative_laws(twisted, trials, seed):
-    """(certificate_ok, trials_ok) for x.(x.y) = (x.x).y and (y.x).x = y.(x.x),
-    which are quadratic in x and linear in y: 288 certificate cases, then the
-    random pairs, drawn x, y in turn, as a second route."""
-    batch = identity_batch(twisted)
+def _alternative_laws(batch, trials, seed):
+    """(certificate_ok, trials_ok) for x.(x.y) = (x.x).y and (y.x).x = y.(x.x)
+    on the ``IdentityBatch`` of the twist, laws which are quadratic in x and
+    linear in y: 288 certificate cases, then the random pairs, drawn x, y in
+    turn, as a second route."""
     certificate_ok = bool(batch.alternative_laws(*batch.certificate_cases()[:2]).all())
     X, Y = batch.draw(random.Random(seed), trials, 2)
     return certificate_ok, bool(batch.alternative_laws(X, Y).all())
@@ -280,13 +281,14 @@ def twist_report(algebra, f, trials=500, seed=0):
     """
     ar, C, T, lf, rf = _twist(algebra, f)
     dim = algebra.dim
+    batch = IdentityBatch(_twisted_algebra(algebra, ar, T))
     values = ar.array(algebra.form.values)
-    norm_ok = _encoded_lie.same(
-        ar, _norms(ar, algebra.form, T.reshape(dim * dim, dim)),
-        ar.mul(values[:, None], values[None, :]).reshape(dim * dim))
+    # n(b_i.b_j) = n(b_i) n(b_j), with the products b_i.b_j read as tensor rows
+    want = ar.mul(values[:, None], values[None, :]).reshape(dim * dim, 1)
+    norm_ok = bool(batch.equal(batch.norm(T.reshape(dim * dim, dim)), want).all())
     # (b_i*f).(f*b_j) = b_i*b_j on all basis pairs
     recovery_ok = _encoded_lie.same(ar, _encoded_lie.pulled_tensor(ar, T, rf, lf), C)
-    certificate_ok, alt_ok = _alternative_laws(_twisted_algebra(algebra, ar, T), trials, seed)
+    certificate_ok, alt_ok = _alternative_laws(batch, trials, seed)
     return TwistReport(
         field_spec=algebra.field.spec_string(),
         idempotent=[str(c) for c in f.coords],
@@ -298,16 +300,6 @@ def twist_report(algebra, f, trials=500, seed=0):
         alternative_certificate_ok=certificate_ok,
         seed=seed,
     )
-
-
-def _norms(ar, form, X):
-    """n(x) for the rows x of X (N, dim): x Q x^T, with Q[i][i] = n(b_i),
-    Q[i][j] = n(b_i, b_j) above the diagonal and 0 below it."""
-    dim = len(form.values)
-    zero = form.polar.field.zero
-    Q = ar.array([[form.values[i] if i == j else form.polar[i, j] if i < j else zero
-                   for j in range(dim)] for i in range(dim)])
-    return ar.matmul(ar.matmul(X, Q)[:, None, :], X[:, :, None]).reshape(len(X))
 
 
 def unit_of(algebra):
@@ -490,10 +482,9 @@ def minpoly_degrees(model, X):
     """``minpoly_check_char_not3`` for a batch: the minimal-polynomial degree
     of sum_i f_i B_i over the model's basis matrices B_i, for each encoded
     coordinate row f of X.  The rows are taken to be idempotents, unchecked."""
-    field = model.field
-    basis = _kernels.encode_rows(field, [m.to_vec() for m in model.basis_matrices])
-    mats = _kernels.batch_linear_combination(field, X, basis).reshape(-1, 3, 3)
-    return _kernels.batch_minpoly_degrees(field, mats)
+    ar = _encoded_lie.arrays_for(model.field)
+    basis = ar.array([m.to_vec() for m in model.basis_matrices])
+    return _kernels.batch_minpoly_degrees(model.field, ar.matmul(X, basis).reshape(-1, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +503,7 @@ def full_field_census(algebra, budget=10**8):
     field = algebra.field
     codes = idempotent_codes(algebra, budget=budget)
     X = _kernels.census_digits(field, codes, algebra.dim)
-    norms = _kernels.batch_quadratic_form(field, algebra.form, X)
-    norms_ok = bool((norms == field.element_index(field.one)).all())
+    norms_ok = bool((IdentityBatch(algebra).norm(X) == field.element_index(field.one)).all())
     results = {
         "field": field.spec_string(),
         "total": int(codes.size),

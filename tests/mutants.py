@@ -1,0 +1,76 @@
+"""The mutation gate's registry: code mutants of ``src`` that the tests must
+catch.
+
+Each entry names a file under ``src/okubo``, a text that occurs in it
+exactly once, the replacement that makes the mutant, and the ids of the
+tests that must fail on it.  ``tests/run_mutants.py`` applies each mutant to
+a copy of the tree and runs its tests; ``tests/test_mutants.py`` checks that
+every registered text still occurs exactly once, so that the registry
+follows the code.  A fast path adds its mutants here.
+"""
+
+MUTANTS = [
+    {
+        "name": "the float32 kernel recombines the digits in reverse order",
+        "file": "_kernels.py",
+        "find": "    return Z.reshape(*Z.shape[:-1], Z.shape[-1] // k, k) @ t.powers\n",
+        "replace": "    return Z.reshape(*Z.shape[:-1], Z.shape[-1] // k, k) @ t.powers[::-1]\n",
+        "tests": [
+            "tests/test_bilinear.py::test_batch_matmul_matches_reference",
+            "tests/test_bilinear.py::test_bilinear_matches_object_path",
+        ],
+    },
+    {
+        "name": "batch_multiply reads the digits of the products in reverse order",
+        "file": "_kernels.py",
+        "find": "    D = np.take(t.product_digits, products, axis=0)\n",
+        "replace": "    D = np.take(t.product_digits[:, ::-1], products, axis=0)\n",
+        "tests": ["tests/test_kernels.py::test_batch_multiply_matches_object_batch"],
+    },
+    {
+        "name": "the tables' bilinear map drops its last nonzero column",
+        "file": "_kernels.py",
+        "find": "    I, J = np.nonzero((T != 0).any(axis=-1))\n",
+        "replace": "    I, J = (a[:-1] for a in np.nonzero((T != 0).any(axis=-1)))\n",
+        "tests": ["tests/test_bilinear.py::test_bilinear_matches_object_path"],
+    },
+    {
+        "name": "the object backends' bilinear map drops its last nonzero column",
+        "file": "_zw.py",
+        "find": "        for i, j, ks, c in terms:\n",
+        "replace": "        for i, j, ks, c in terms[:-1]:\n",
+        "tests": ["tests/test_bilinear.py::test_bilinear_matches_object_path"],
+    },
+    {
+        "name": "a product with a rational right factor gets a wrong w-part",
+        "file": "_zw.py",
+        "find": "            return ZwArray(x.a * y.a, x.b * y.a, x.den * y.den)\n",
+        "replace": "            return ZwArray(x.a * y.a, x.a * y.a, x.den * y.den)\n",
+        "tests": [
+            "tests/test_zw.py",
+            "tests/test_bilinear.py::test_bilinear_matches_object_path",
+        ],
+    },
+    {
+        "name": "a random element of Q(w) is drawn numerator first",
+        "file": "_zw.py",
+        "find": "            dab = [(rand(1, 8), rand(-9, 10), rand(-9, 10)) for _ in range(n)]\n",
+        "replace": "            dab = [(lambda a, d, b: (d, a, b))(rand(-9, 10), rand(1, 8), rand(-9, 10))"
+                   " for _ in range(n)]\n",
+        "tests": ["tests/test_bilinear.py::test_random_draws_the_elements_of_random_element"],
+    },
+    {
+        "name": "the norm is read from the full polar matrix, not its upper triangle",
+        "file": "algebra.py",
+        "find": "form.values[i] if i == j else form.polar[i, j] if i < j else zero]",
+        "replace": "form.values[i] if i == j else form.polar[i, j]]",
+        "tests": ["tests/test_idempotents.py::TestTwistOnArrays"],
+    },
+    {
+        "name": "the twist's norm check reads the rows of the untwisted tensor",
+        "file": "idempotents.py",
+        "find": "batch.norm(T.reshape(dim * dim, dim))",
+        "replace": "batch.norm(C.reshape(dim * dim, dim))",
+        "tests": ["tests/test_idempotents.py::TestTwistOnArrays"],
+    },
+]

@@ -1,8 +1,11 @@
 """The reference for the array pipeline: the derivation analysis, the
 MeatAxe and the sl3 model products on ``Scalar`` matrices, with the
 characteristic polynomial, the sl3 norm and product on ``Matrix`` objects,
-the truncated-polynomial product by partial derivatives and the irreducible
-polynomials of degree <= 4 that the tests compare the package with.
+the truncated-polynomial product by partial derivatives, the irreducible
+polynomials of degree <= 4, the identity checks on elements
+(``ObjectBatch``) and the table matrix product one step of the contraction
+at a time (``batch_matmul_reference``) that the tests compare the package
+with.
 
 The package runs all of these on exact arrays (``okubo._encoded_lie``, one
 code path for three backends); the tests compare every stage with the
@@ -21,8 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from okubo import polys
-from okubo.algebra import StructureConstantAlgebra
+import numpy as np
+
+from okubo import _kernels, polys
+from okubo.algebra import IdentityBatch, StructureConstantAlgebra
 from okubo.errors import AmbientMismatch, BadCharacteristic, Inconclusive, InfiniteField, NotClosed
 from okubo.liealg import DerivationAnalysis, derivations
 from okubo.linalg import Matrix, Subspace, nullspace, rref
@@ -669,3 +674,66 @@ def irreducible_polys(field, deg):
     for cand in polys._monic_polys(field, deg):
         if polys.is_irreducible(cand, field):
             yield cand
+
+
+# ---------------------------------------------------------------------------
+# the identity checks on elements, and the table matrix product
+# ---------------------------------------------------------------------------
+
+
+def _objects(values):
+    """A 1-d numpy object array of the values, indexable like the batches."""
+    values = list(values)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+class ObjectBatch(IdentityBatch):
+    """``IdentityBatch`` on AlgebraElements and Scalars in object arrays:
+    exact arithmetic over any field through ``multiply``, ``norm`` and
+    ``norm_polar`` of the algebra, with the elements drawn by
+    ``random_element``.  It keeps the case layout and the identities of
+    ``IdentityBatch``, so a report made with it in place of the arrays must
+    be the same, witnesses included."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+
+    def rows(self, elements):
+        return _objects(elements)
+
+    def draw(self, rng, count, arity):
+        rand = self.algebra.random_element
+        draws = [[rand(rng) for _ in range(arity)] for _ in range(count)]
+        return tuple(self.rows([t[n] for t in draws]) for n in range(arity))
+
+    def multiply(self, X, Y):
+        return _objects(self.algebra.multiply(x, y) for x, y in zip(X, Y))
+
+    def norm(self, X):
+        return _objects(self.algebra.norm(x) for x in X)
+
+    def polar(self, X, Y):
+        return _objects(self.algebra.norm_polar(x, y) for x, y in zip(X, Y))
+
+    def times(self, a, b):
+        return _objects(u * v for u, v in zip(a, b))
+
+    def equal(self, A, B):
+        return np.array([u == v for u, v in zip(A, B)], dtype=bool)
+
+    def coords_text(self, X, r):
+        return tuple(map(str, X[r].coords))
+
+
+def batch_matmul_reference(field, A, B):
+    """Encoded products A @ B of broadcast stacks, one table addition per
+    step of the contraction."""
+    t = _kernels.tables_for(field)
+    A, B = np.asarray(A), np.asarray(B)
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    out = np.zeros(shape, dtype=np.int64)
+    for s in range(A.shape[-1]):
+        out = t.add[out, t.mul[A[..., :, s, None], B[..., None, s, :]]]
+    return out

@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from okubo import _encoded_lie
 from okubo import algebra as algebra_module
-from okubo.algebra import (
-    QuadraticForm,
-    StructureConstantAlgebra,
-    _EncodedBatch,
-    _IntegerBatch,
-    _ObjectBatch,
-    identity_batch,
-)
+from okubo._encoded_lie import ModArrays, TableArrays
+from okubo._zw import ZwArrays
+from okubo.algebra import IdentityBatch, QuadraticForm, StructureConstantAlgebra
 from okubo.errors import AlgebraMismatch, NoForm
 from okubo.fields import field_from_spec
 from okubo.linalg import Matrix
 from okubo.models import OKUBO_LABELS, build_split_okubo
+from scalar_reference import ObjectBatch
 
 
 def mutated_okubo(field, which=0, value=None):
@@ -54,7 +50,7 @@ def okubo_or_bumped(field, which):
 
 def object_path_report(algebra, trials, seed):
     """The composition report computed on elements, over any field."""
-    with mock.patch.object(algebra_module, "identity_batch", _ObjectBatch):
+    with mock.patch.object(algebra_module, "IdentityBatch", ObjectBatch):
         return algebra.check_symmetric_composition(trials=trials, seed=seed)
 
 
@@ -176,10 +172,12 @@ class TestSymmetricComposition:
         assert not xyx.passed and xyx.failures
 
     @pytest.mark.parametrize("which", [None, 0, 13])
-    @pytest.mark.parametrize("spec", ["gf(2)", "gf(2^2;t^2+t+1)", "gf(7)", "gf(3^2;t^2+1)"])
+    @pytest.mark.parametrize(
+        "spec", ["gf(2)", "gf(2^2;t^2+t+1)", "gf(7)", "gf(3^2;t^2+1)", "gf(257)", "gf(17^2;t^2+3)"])
     def test_encoded_path_matches_object_path(self, spec, which):
         # same draws from the same stream, so the random checks (witnesses
-        # included) and the certificates agree byte for byte
+        # included) and the certificates agree byte for byte, on the tables
+        # and on the mod-p arrays beyond them
         algebra = okubo_or_bumped(field_from_spec(spec), which)
         encoded = algebra.check_symmetric_composition(trials=40, seed=3)
         assert summary_text(encoded) == summary_text(object_path_report(algebra, 40, 3))
@@ -248,19 +246,20 @@ def zw_scalar(field, a, b, d):
 class TestIntegerBatch:
     @pytest.mark.parametrize(
         "spec, kind",
-        [("q", _IntegerBatch), ("q(w)", _IntegerBatch), ("gf(2)", _EncodedBatch),
-         ("gf(3)", _EncodedBatch), ("gf(3^2;t^2+1)", _EncodedBatch),
-         ("gf(257)", _ObjectBatch)],
+        [("q", ZwArrays), ("q(w)", ZwArrays), ("gf(2)", TableArrays),
+         ("gf(3)", TableArrays), ("gf(3^2;t^2+1)", TableArrays),
+         ("gf(257)", ModArrays)],
     )
-    def test_identity_batch_choice(self, spec, kind):
-        assert type(identity_batch(build_split_okubo(field_from_spec(spec)))) is kind
+    def test_identity_batch_backend(self, spec, kind):
+        # one batch class; the field picks only the array backend under it
+        assert type(IdentityBatch(build_split_okubo(field_from_spec(spec))).ar) is kind
 
     @pytest.mark.parametrize("spec", ["q", "q(w)"])
     def test_draw_matches_random_elements(self, spec):
         # the Scalar-free draw gives the values of random_element's Scalars,
         # from the same randrange calls, so the stream ends where it would
         algebra = build_split_okubo(field_from_spec(spec))
-        batch = _IntegerBatch(algebra)
+        batch = IdentityBatch(algebra)
         for seed in range(4):
             rng, ref = random.Random(seed), random.Random(seed)
             X, Y = batch.draw(rng, 25, 2)
@@ -319,33 +318,34 @@ class TestIntegerBatch:
 
         xs = [big_element() for _ in range(6)]
         ys = [big_element() for _ in range(6)]
-        batch = _IntegerBatch(okubo_qw)
+        batch = IdentityBatch(okubo_qw)
         X, Y = batch.rows(xs), batch.rows(ys)
-        assert list(X[2]) == [7] * 6 and abs(X[0]).min() >= 10**30
-        assert X[0].dtype == object
+        assert X.den == 7 and abs(X.a).min() >= 10**30
+        assert X.a.dtype == object
 
         def scalars(values):
-            return [zw_scalar(qw, a, b, d) for a, b, d in zip(*values)]
+            return [s for [s] in batch.ar.decode(values)]
 
         XY = batch.multiply(X, Y)
         assert [batch.coords_text(XY, r) for r in range(6)] == [
             tuple(map(str, okubo_qw.multiply(x, y).coords)) for x, y in zip(xs, ys)
         ]
-        assert max(abs(v) for v in XY[0].ravel()) > 2**63
+        assert max(abs(v) for v in XY.a.ravel()) > 2**63
         assert scalars(batch.norm(X)) == [okubo_qw.norm(x) for x in xs]
         assert scalars(batch.polar(X, Y)) == [okubo_qw.norm_polar(x, y) for x, y in zip(xs, ys)]
-        objects = _ObjectBatch(okubo_qw)
+        objects = ObjectBatch(okubo_qw)
+        U, V = objects.rows(xs), objects.rows(ys)
         for check in ("norm_multiplicative", "xyx_identity"):
             verdicts = getattr(batch, check)(X, Y, XY)
             assert verdicts.all()
             assert np.array_equal(
-                verdicts, getattr(objects, check)(xs, ys, objects.multiply(xs, ys))
+                verdicts, getattr(objects, check)(U, V, objects.multiply(U, V))
             )
         # one unit in the last place of one numerator is a different element
-        a, b, d = XY
-        a = a.copy()
+        a = XY.a.copy()
         a[4, 5] += 1
-        assert list(batch.equal(XY, (a, b, d))) == [True] * 4 + [False, True]
+        changed = type(XY)(a, XY.b, XY.den)
+        assert list(batch.equal(XY, changed)) == [True] * 4 + [False, True]
 
 
 def contraction_algebra(case):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from okubo import _encoded_lie, _kernels, idempotents
-from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _IntegerBatch, _ObjectBatch
+from okubo.algebra import IdentityBatch, StructureConstantAlgebra
 from okubo.errors import (
     BadCharacteristic,
     BudgetExceeded,
@@ -39,7 +39,7 @@ from okubo.idempotents import (
     unit_of,
 )
 from okubo.linalg import Matrix, Subspace
-from scalar_reference import contains_vector, full_space, zero_space
+from scalar_reference import ObjectBatch, contains_vector, full_space, zero_space
 from okubo.models import build_sl3_model, build_split_okubo, distinguished_idempotent
 
 # frozen census facts for GF(3), derived by two independent brute-force passes
@@ -360,7 +360,7 @@ class TestTwistAlternativeLaws:
     @pytest.mark.parametrize("which", ["twist", "mutant"])
     def test_batches_agree_per_trial(self, twists, which):
         twisted = twists[which]
-        encoded, objects = _EncodedBatch(twisted), _ObjectBatch(twisted)
+        encoded, objects = IdentityBatch(twisted), ObjectBatch(twisted)
         X, Y = encoded.draw(random.Random(5), 60, 2)
         U, V = objects.draw(random.Random(5), 60, 2)
         assert _kernels.decode_rows(twisted.field, X) == [u.coords for u in U]
@@ -375,7 +375,7 @@ class TestTwistAlternativeLaws:
     @pytest.mark.parametrize("which", ["twist", "mutant"])
     def test_certificate_cases_agree_per_case(self, twists, which):
         twisted = twists[which]
-        encoded, objects = _EncodedBatch(twisted), _ObjectBatch(twisted)
+        encoded, objects = IdentityBatch(twisted), ObjectBatch(twisted)
         X, Y, label = encoded.certificate_cases()
         U, V, same_label = objects.certificate_cases()
         assert len(X) == len(U) == 36 * 8
@@ -390,7 +390,7 @@ class TestTwistAlternativeLaws:
         twisted = petersson_twist(algebra, algebra.element([1, 1, 0, 0, 0, 0, 0, 0]))
         if which == "mutant":
             twisted = twist_mutant(twisted)
-        integer, objects = _IntegerBatch(twisted), _ObjectBatch(twisted)
+        integer, objects = IdentityBatch(twisted), ObjectBatch(twisted)
         X, Y, label = integer.certificate_cases()
         U, V, same_label = objects.certificate_cases()
         assert [label(r) for r in range(len(U))] == [same_label(r) for r in range(len(U))]
@@ -406,11 +406,13 @@ class TestTwistAlternativeLaws:
         assert certificate.all() == verdicts.all() == (which == "twist")
 
     def test_certificate_catches_mutant(self, twists):
-        assert _alternative_laws(twists["twist"], 1, 0) == (True, True)
-        certificate_ok, _ = _alternative_laws(twists["mutant"], 1, 0)
+        assert _alternative_laws(IdentityBatch(twists["twist"]), 1, 0) == (True, True)
+        certificate_ok, _ = _alternative_laws(IdentityBatch(twists["mutant"]), 1, 0)
         assert certificate_ok is False
+        # the same on the mod-p arrays that serve the fields beyond the tables
         with mock.patch.object(_kernels, "supports_field", return_value=False):
-            assert _alternative_laws(twists["mutant"], 1, 0)[0] is False
+            assert type(IdentityBatch(twists["mutant"]).ar).__name__ == "ModArrays"
+            assert _alternative_laws(IdentityBatch(twists["mutant"]), 1, 0)[0] is False
 
 
 class TestParaHurwitz:
@@ -539,7 +541,7 @@ class TestFullFieldCensus:
         if sample is not None:
             codes = np.array(sorted(random.Random(5).sample(codes.tolist(), sample)))
         X = _kernels.census_digits(field, codes, algebra.dim)
-        norms = _kernels.batch_quadratic_form(field, algebra.form, X)
+        norms = IdentityBatch(algebra).norm(X)[:, 0]
         degrees = minpoly_degrees(model, X)
         rows = _kernels.decode_rows(field, X)
         assert len(rows) == (sample or 336)

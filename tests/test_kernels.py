@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okubo import _kernels
-from okubo.algebra import StructureConstantAlgebra, _EncodedBatch, _ObjectBatch
+from okubo import _encoded_lie, _kernels
+from okubo.algebra import IdentityBatch, StructureConstantAlgebra
 from okubo.fields import GF, field_from_spec
 from okubo.idempotents import petersson_twist
 from okubo.linalg import Matrix, _rref_generic_reps, rref
 from okubo.models import build_split_okubo
+from scalar_reference import ObjectBatch
 
 
 FIELDS = ["gf(3)", "gf(7)", "gf(2^2;t^2+t+1)", "gf(3^2;t^2+1)"]
@@ -101,18 +102,24 @@ def test_census_codes_are_sorted_lexicographically(gf3, okubo_gf3):
 
 
 def test_batch_multiply_matches_object_path(gf7, okubo_gf7):
-    rng = random.Random(3)
-    X = _kernels.random_coord_batch(gf7, rng, 50, 8)
-    Y = _kernels.random_coord_batch(gf7, rng, 50, 8)
-    Z = _kernels.batch_multiply(gf7, okubo_gf7.entries, X, Y)
-    polar = _kernels.batch_polar_form(gf7, okubo_gf7.form, X, Y)
+    batch = IdentityBatch(okubo_gf7)
+    X, Y = batch.draw(random.Random(3), 50, 2)
+    Z = _kernels.batch_multiply(gf7, tensor_digits(okubo_gf7), X, Y)
+    polar = batch.polar(X, Y)
+    assert polar.shape == (50, 1)
     for r in range(50):
         x = okubo_gf7.element(_kernels.decode_coords(gf7, X[r]))
         y = okubo_gf7.element(_kernels.decode_coords(gf7, Y[r]))
         expect = okubo_gf7.multiply(x, y)
         got = okubo_gf7.element(_kernels.decode_coords(gf7, Z[r]))
         assert got == expect
-        assert gf7.element_from_index(int(polar[r])) == okubo_gf7.norm_polar(x, y)
+        assert gf7.element_from_index(int(polar[r, 0])) == okubo_gf7.norm_polar(x, y)
+
+
+def tensor_digits(algebra):
+    """The algebra's tensor as ``batch_multiply`` reads it."""
+    ar = _encoded_lie.arrays_for(algebra.field)
+    return _kernels.bilinear_digits(algebra.field, _encoded_lie.tensor_of(ar, algebra))
 
 
 def random_tensor_algebra(field, seed):
@@ -140,18 +147,19 @@ def test_batch_multiply_matches_object_batch(spec, which):
         algebra = twisted_at(algebra)
     elif which == "random":
         algebra = random_tensor_algebra(algebra.field, seed=len(spec))
-    encoded, objects = _EncodedBatch(algebra), _ObjectBatch(algebra)
+    encoded, objects = IdentityBatch(algebra), ObjectBatch(algebra)
     X, Y = encoded.draw(random.Random(4), 60, 2)
     U, V = objects.draw(random.Random(4), 60, 2)
     P, _ = encoded._certificate_points
     Q, _ = objects._certificate_points
     for (A, B), (S, T) in [((X, Y), (U, V)), ((P, P[::-1]), (Q, Q[::-1]))]:
-        Z = _kernels.batch_multiply(algebra.field, algebra.entries, A, B)
+        Z = _kernels.batch_multiply(algebra.field, tensor_digits(algebra), A, B)
         assert _kernels.decode_rows(algebra.field, Z) == [z.coords for z in objects.multiply(S, T)]
 
 
-def dense_tensor_entries(field, dim, value):
-    return [(i, j, k, value) for i in range(dim) for j in range(dim) for k in range(dim)]
+def dense_tensor(field, dim, value):
+    """The digits of the (dim, dim, dim) tensor with every entry ``value``."""
+    return _kernels.bilinear_digits(field, np.full((dim, dim, dim), value))
 
 
 @pytest.mark.parametrize("x, y", [(250, 1), (250, 250), (1, 250)])
@@ -162,9 +170,8 @@ def test_batch_multiply_exact_at_the_float32_bound(x, y):
     # (p-1)^2 in the float32 sum, which reaches 64 * 250^2 = 4000000; the
     # exact value is 64 (p-1) x y mod p.
     field = GF(251)
-    entries = dense_tensor_entries(field, 8, field.from_int(250))
     X, Y = np.full((3, 8), x), np.full((3, 8), y)
-    Z = _kernels.batch_multiply(field, entries, X, Y)
+    Z = _kernels.batch_multiply(field, dense_tensor(field, 8, 250), X, Y)
     assert (Z == 64 * 250 * x * y % 251).all()
     algebra = StructureConstantAlgebra(field, 8, [str(i) for i in range(8)],
                                        [[[field.from_int(250)] * 8] * 8] * 8)
@@ -179,14 +186,13 @@ def test_batch_multiply_exact_beyond_one_float32_slice(seed):
     # every coefficient and product 249, the one sum would be the odd
     # 289 * 249^2 > 2^24, which float32 cannot hold
     field = GF(251)
-    entries = dense_tensor_entries(field, 17, field.from_int(249))
     if seed is None:
         X, Y = np.full((2, 17), 249), np.ones((2, 17), dtype=np.int64)
     else:
         rng = random.Random(seed)
         X, Y = (np.array([[rng.randrange(251) for _ in range(17)] for _ in range(5)])
                 for _ in range(2))
-    Z = _kernels.batch_multiply(field, entries, X, Y)
+    Z = _kernels.batch_multiply(field, dense_tensor(field, 17, 249), X, Y)
     expect = [249 * sum(x) * sum(y) % 251 for x, y in zip(X.tolist(), Y.tolist())]
     assert Z.tolist() == [[e] * 17 for e in expect]
 
