@@ -9,22 +9,22 @@
 * ``ModArrays``, over every other finite field: an element of GF(p^k) is
   its k coordinates on the power basis, as k numpy object arrays of Python
   ints mod p;
-* ``_zw.ZwArrays``, over Q and Q(w): numerators a + b*w as numpy object
-  arrays of Python ints over one positive denominator.
+* ``_zw.ZwArrays``, over Q and Q(w): numerators a + b*w over one positive
+  denominator, as int64 arrays under a proved bound, else Python ints.
 
 All three have the same operations: ``array``, ``decode``, ``add``,
 ``sub``, ``neg``, ``mul``, ``matmul``, ``nonzero``, ``equal`` and ``rref``,
 and for the identity checks of ``algebra.IdentityBatch``, ``random`` (the
 elements ``random_element`` draws) and ``bilinear`` (the bilinear map of a
-tensor on rows).  Everything here is written once on them, apart from the
-Leibniz system (tables only; elsewhere it stays a ``Matrix`` for
-``linalg``'s RREF) and the grading (characteristic 3, whose fields all have
+tensor on rows), and ``concatenate``.  Everything here is written once on
+them, apart from the grading (characteristic 3, whose fields all have
 tables).  The two finite backends also give the MeatAxe its scalar
 arithmetic (``coefficients``, a ``polys`` coefficient object, with
-``entries``, ``from_entries`` and ``concatenate``).  A linear map is a
-square array, a family of maps an (n, d, d) stack, a subspace its canonical
-RREF basis, and every product of maps is one ``matmul``.  The functions are ``leibniz_system``,
-``inner_span`` (with the Leibniz check of each ad*_u), ``lie_close``,
+``entries`` and ``from_entries``).  A linear map is a square array, a
+family of maps an (n, d, d) stack, a subspace its canonical RREF basis
+(``span``, ``nullspace``), and every product of maps is one ``matmul``.
+The functions are ``inner_span`` (with the Leibniz check of each ad*_u),
+``lie_close``,
 ``EncodedLie`` (antisymmetry and Jacobi are checked on construction),
 ``derived``, ``killing_rank``, ``center_dim``, ``grading`` and
 ``is_simple``, the MeatAxe.  The tests compare each with a reference on
@@ -121,7 +121,7 @@ class TableArrays:
     def random(self, rng, shape):
         """An array of random elements from one randrange(q) per entry, in
         row-major order: the encoded elements ``random_scalar`` draws."""
-        return np.array(_draw_indices(rng, self.tables.q, shape), dtype=np.int64).reshape(shape)
+        return _draw_indices(rng, self.tables.q, shape).reshape(shape)
 
     def nonzero(self, x):
         return x != 0
@@ -222,15 +222,13 @@ class ModArrays:
         return self._times(x, y, lambda a, b: a @ b)
 
     def bilinear(self, T):
-        """``TableArrays.bilinear``, by ``_zw.sparse_bilinear``, with the sums
-        reduced mod p."""
-        form = _zw.sparse_bilinear(self, T)
-        return lambda X, Y: ModArray(part % self.p for part in form(X, Y))
+        """``TableArrays.bilinear``, by ``_zw.bilinear``."""
+        return _zw.bilinear(self, T)
 
     def random(self, rng, shape):
         """``TableArrays.random``: the element with index e has the base-p
         digits of e as its coordinates."""
-        e = np.array(_draw_indices(rng, self.field.cardinality, shape), dtype=object)
+        e = _draw_indices(rng, self.field.cardinality, shape).astype(object)
         return ModArray((e // self.p**s % self.p).reshape(shape) for s in range(self.k))
 
     def nonzero(self, x):
@@ -271,8 +269,28 @@ class ModArrays:
 
 
 def _draw_indices(rng, q, shape):
-    rand = rng.randrange
-    return [rand(q) for _ in range(math.prod(shape))]
+    """randrange(q) once per entry of a shape, as a flat array, leaving the
+    generator where those calls leave it.  This relies on CPython's (3.11)
+    randrange(q): for k = q.bit_length() <= 32 each call takes one 32-bit
+    word, keeps its top k bits and rejects values >= q, and getrandbits(32 m)
+    is m such words, the first lowest.  So one getrandbits call gives the
+    draws; the generator is then reset and advanced by the words used.  A
+    wider q takes several words a draw, and is drawn call by call."""
+    n = math.prod(shape)
+    if q.bit_length() > 32:
+        return np.array([rng.randrange(q) for _ in range(n)], dtype=object)
+    shift, drawn = 32 - q.bit_length(), []
+    while n:
+        state, m = rng.getstate(), n + n // 2 + 64
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        values = (words >> shift).astype(np.int64)
+        kept = np.flatnonzero(values < q)[:n]
+        if len(kept) == n:
+            rng.setstate(state)
+            rng.getrandbits(32 * (int(kept[-1]) + 1))
+        drawn.append(values[kept])
+        n -= len(kept)
+    return np.concatenate(drawn or [np.zeros(0, dtype=np.int64)])
 
 
 def span(ar, x):
@@ -283,6 +301,19 @@ def span(ar, x):
 
 def rank(ar, x):
     return len(ar.rref(x)[1])
+
+
+def nullspace(ar, x):
+    """The RREF basis of {v : x v = 0} for a 2-d array x, from its RREF: the
+    solution that is 1 at one free column and 0 at the others is
+    -red[r, f] at the pivot column of row r, as ``linalg.nullspace`` builds
+    it."""
+    n = x.shape[1]
+    red, pivots = ar.rref(x)
+    free = [c for c in range(n) if c not in pivots]
+    eye = ar.array([ar.field.zero, ar.field.one])[np.eye(n, dtype=np.int64)]
+    at_pivots = ar.matmul(ar.neg(red[: len(pivots)][:, free]).T, eye[list(pivots)])
+    return span(ar, ar.add(eye[free], at_pivots))
 
 
 def same(ar, x, y):
@@ -322,30 +353,6 @@ def pulled_tensor(ar, C, phi, psi):
     dim = C.shape[0]
     U = ar.matmul(phi.T, C.reshape(dim, dim * dim)).reshape(dim, dim, dim)  # [i, b, k]
     return ar.matmul(psi.T[None], U)
-
-
-def leibniz_system(algebra):
-    """``liealg.leibniz_system`` as an encoded array over a field with
-    lookup tables, built from the tensor entries.
-
-    Each of the three terms puts every entry c_ijk into dim distinct cells,
-    and no two entries share a cell within one term, so each term is one
-    vectorized table addition.
-    """
-    dim, index = algebra.dim, algebra.field.element_index
-    t = _kernels.tables_for(algebra.field)
-    entries = [(i, j, k, index(c)) for i, j, k, c in algebra.entries]
-    i, j, k, c = np.array(entries, dtype=np.int64).reshape(-1, 4).T[:, :, None]
-    m = np.arange(dim)[None, :]
-    system = np.zeros((dim**3, dim * dim), dtype=np.int64)
-    terms = (
-        ((i * dim + j) * dim + m, m * dim + k, c),  # D(b_i * b_j): D[m][k] c_ijk
-        ((m * dim + j) * dim + k, i * dim + m, t.neg[c]),  # D(b_m) * b_j: D[i][m]
-        ((i * dim + m) * dim + k, j * dim + m, t.neg[c]),  # b_i * D(b_m): D[j][m]
-    )
-    for rows, cols, value in terms:
-        system[rows, cols] = t.add[system[rows, cols], value]
-    return system
 
 
 def leibniz_holds(ar, C, D):
@@ -483,7 +490,7 @@ def grading(ar, algebra, C, der):
     (c der) vanishes off the coordinates (r, j) with deg b_r = deg b_j + g},
     so its coefficients c form the nullspace of the transposed off-degree
     columns."""
-    field, dim = algebra.field, algebra.dim
+    dim = algebra.dim
     degree_to_index = {d: i for i, d in enumerate(algebra.grading)}
 
     def off_degree(g):
@@ -496,7 +503,7 @@ def grading(ar, algebra, C, der):
 
     dims, parts = {}, []
     for g in ((gi, gj) for gi in range(3) for gj in range(3)):
-        coeffs = _kernels.nullspace_encoded(field, der[:, off_degree(g)].T)
+        coeffs = _kernels.nullspace_encoded(ar.field, der[:, off_degree(g)].T)
         if len(coeffs):
             dims[g] = len(coeffs)
             parts.append(ar.matmul(coeffs, der))

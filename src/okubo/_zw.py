@@ -1,13 +1,46 @@
-"""Exact arithmetic over Q and Q(w) on numpy object arrays of Python ints.
+"""Exact arithmetic over Q and Q(w) on numpy arrays of integer numerators.
 
 An element of Q(w) is (a + b*w)/d with integers a, b and d > 0, where
-w^2 = -1 - w; Q is the case b = 0.  Arrays hold the numerators a and b as
-numpy object arrays of Python ints, which never overflow, so nothing is
-truncated.  ``ZwArrays`` is the exact array backend over Q and Q(w), with
-one denominator per array, of every array computation (``_encoded_lie``):
-the identity checks of ``verify`` and ``twist``, the derivation analysis
-and the sl3 matrix model.  ``sparse_bilinear`` gives bilinear maps to the
-object backends, ``ZwArrays`` and ``_encoded_lie.ModArrays``.
+w^2 = -1 - w; Q is the case b = 0.  ``ZwArrays`` is the exact array backend
+over Q and Q(w), with one denominator per array, of every array computation
+(``_encoded_lie``): the identity checks of ``verify`` and ``twist``, the
+derivation analysis and the sl3 matrix model.  ``bilinear`` gives bilinear
+maps to the two backends on numerator arrays, ``ZwArrays`` and
+``_encoded_lie.ModArrays``.
+
+**The int64 rule.**  The numerators a and b of an array are int64 numpy
+arrays, or object arrays of Python ints, which never overflow.  An int64
+array holds only entries with |v| < 2^62 (``LIMIT``).  Before each
+operation, the largest |entry| Bx, By of its operands gives a bound on
+every result and every partial sum the operation forms; when the bound is
+below 2^62 the operation runs on int64, else its operands are promoted to
+object arrays and it runs on Python ints.  An object operand makes the
+result an object array.  The bounds, for |a|, |b| <= B of each operand:
+
+* ``mul``: a1 a2 - b1 b2 and a1 b2 + b1 a2 - b1 b2 are sums of at most
+  three products, each at most Bx By, so every partial sum is at most
+  3 Bx By;
+* ``matmul`` with inner dimension K: a1 @ a2 and b1 @ b2 are sums of K
+  products at most Bx By; (a1 + b1) @ (a2 + b2) has entries of its
+  operands at most 2Bx and 2By, so its partial sums are at most 4K Bx By;
+  the result subtracts three more sums of at most K Bx By: every partial
+  sum is at most 7K Bx By <= 8K Bx By;
+* bringing an array to a multiple den of its denominator d, as ``add``,
+  ``sub``, ``equal`` and ``concatenate`` do, multiplies its numerators by
+  s = den/d, at most max(B, 1) s (the max(., 1) keeps s itself below
+  2^62, as numpy requires of an int64 factor); ``add`` and ``sub`` then
+  sum numerators at most Bx' and By', at most Bx' + By';
+* ``rref``: an elimination step p row_i - row_i[c] row_r, with entries at
+  most Br in the pivot row r and at most Bi in the rows i it reduces, is a
+  difference of two ``mul`` results, at most 6 Br Bi; multiplying a pivot
+  row by the conjugate (pa - pb) - pb w of its pivot, whose parts are at
+  most 2B for B the largest entry of the matrix, gives at most
+  3 (2B) B = 6 B^2; putting the rows over the common denominator
+  multiplies each by some s, the bound max(B, 1) max s.  Norms, gcds and
+  denominators are Python ints.
+
+Within the bound a numerator computed in int64 is the exact integer, since
+no intermediate value wraps; ``neg`` and ``nonzero`` need no bound.
 
 ``PartsArray`` gives the views (indexing, reshaping, transposing) of an
 array held as several numpy arrays; ``ZwArray`` and ``_encoded_lie.ModArray``
@@ -22,6 +55,11 @@ import numpy as np
 
 from .fields import RationalOmegaField, Scalar
 
+#: every int64 numerator, result and partial sum stays below this
+LIMIT = 1 << 62
+#: rows per block of ``bilinear``
+BLOCK = 256
+
 
 def rep(s):
     """(a, b, d) with s = (a + b*w)/d, for a Scalar of Q or Q(w)."""
@@ -35,36 +73,39 @@ def mul(a1, b1, a2, b2):
     return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
 
 
-def matmul(a1, b1, a2, b2):
-    """``mul`` with matrix products: three of them, (a1 + b1)(a2 + b2) giving
-    the cross terms, and one where both operands are rational."""
-    aa = a1 @ a2
-    if not (b1.any() or b2.any()):
-        return aa, np.zeros(aa.shape, dtype=object)
-    bb = b1 @ b2
-    return aa - bb, (a1 + b1) @ (a2 + b2) - aa - bb - bb
+def _bound(*parts):
+    """The largest |entry| of int64 numerator arrays, as a Python int, or
+    LIMIT when one of them holds Python ints."""
+    if any(p.dtype == object for p in parts):
+        return LIMIT
+    return max((int(np.abs(p).max(initial=0)) for p in parts), default=0)
 
 
-def sparse_bilinear(ar, T):
-    """The bilinear map of a (dim, dim, K) array T on an object backend
-    ``ar`` (see ``_encoded_lie.TableArrays.bilinear``), as a function of
-    (X, Y) that returns the (N, K) sums of the result's parts, not reduced.
-    Each column x_i y_j of a pair (i, j) with some T[i, j, k] nonzero is
-    formed once and scaled by those T[i, j, k]; the running sums hold whole
-    columns only, never every product at once."""
-    nonzero = ar.nonzero(T)
-    terms = []
-    for i, j in zip(*np.nonzero(nonzero.any(axis=2))):
-        ks = np.flatnonzero(nonzero[i, j])
-        terms.append((i, j, ks, T[i, j, ks][None]))
+def _machine(bound, *parts):
+    """The numerator arrays as they are when all are int64 and ``bound``, on
+    every result and partial sum of the operation, is below 2^62; else all
+    as object arrays of Python ints."""
+    if bound < LIMIT and all(p.dtype != object for p in parts):
+        return parts
+    return tuple(p if p.dtype == object else p.astype(object) for p in parts)
+
+
+def bilinear(ar, T):
+    """The bilinear map (X, Y) -> Z of a (dim, dim, K) array T on a backend
+    ``ar`` of numerator arrays (see ``_encoded_lie.TableArrays.bilinear``):
+    Z[n, k] = sum_ij X[n, i] Y[n, j] T[i, j, k] on (N, dim) rows.
+
+    With (I, J) the P pairs (i, j) for which some T[i, j, k] is nonzero, a
+    block of rows is the (rows, P) products X[:, I] Y[:, J], then one
+    ``ar.matmul`` with the (P, K) coefficients T[I, J].  Blocks of ``BLOCK``
+    rows keep memory flat; an empty batch is one empty block."""
+    I, J = np.nonzero(ar.nonzero(T).any(axis=2))
+    coefficients = T[I, J]
 
     def form(X, Y):
-        Z = [np.zeros((len(X), T.shape[2]), dtype=object) for _ in X.parts]
-        for i, j, ks, c in terms:
-            term = ar.mul(ar.mul(X[:, i, None], Y[:, j, None]), c)
-            for z, part in zip(Z, term.parts):
-                z[:, ks] += part
-        return Z
+        blocks = range(0, max(len(X), 1), BLOCK)
+        return ar.concatenate([ar.matmul(ar.mul(X[s:s + BLOCK][:, I], Y[s:s + BLOCK][:, J]),
+                                         coefficients) for s in blocks])
 
     return form
 
@@ -99,8 +140,9 @@ class PartsArray:
 
 
 class ZwArray(PartsArray):
-    """The array (a + b*w)/den: numerators a and b, numpy object arrays of
-    Python ints of one shape, over one positive integer den."""
+    """The array (a + b*w)/den: numerators a and b, int64 or object numpy
+    arrays of one shape (see the int64 rule above), over one positive
+    Python int den."""
 
     __slots__ = ("a", "b", "den")
 
@@ -133,9 +175,10 @@ class ZwArrays:
         s = np.array(scalars, dtype=object)
         reps = [rep(c) for c in s.ravel()]
         den = math.lcm(1, *(d for *_, d in reps))
-        a = np.array([x * (den // d) for x, _, d in reps], dtype=object)
-        b = np.array([y * (den // d) for _, y, d in reps], dtype=object)
-        return ZwArray(a.reshape(s.shape), b.reshape(s.shape), den)
+        a = [x * (den // d) for x, _, d in reps]
+        b = [y * (den // d) for _, y, d in reps]
+        dtype = np.int64 if max(map(abs, a + b), default=0) < LIMIT else object
+        return ZwArray(np.array(a, dtype).reshape(s.shape), np.array(b, dtype).reshape(s.shape), den)
 
     def decode(self, x):
         """The Scalars of a ZwArray, as nested lists of its shape.  A Scalar's
@@ -149,13 +192,19 @@ class ZwArrays:
             out.append(Scalar(field, (a // g, b // g, den // g) if omega else (a // g, den // g)))
         return np.array(out, dtype=object).reshape(x.shape).tolist()
 
+    def _over(self, x, den):
+        """The numerators of x over a multiple den of its denominator."""
+        s = den // x.den
+        if s == 1:
+            return x.a, x.b
+        a, b = _machine(max(_bound(x.a, x.b), 1) * s, x.a, x.b)
+        return a * s, b * s
+
     def _common(self, x, y):
         """The numerators of x and y over their least common denominator."""
-        if x.den == y.den:
-            return x.a, x.b, y.a, y.b, x.den
         den = math.lcm(x.den, y.den)
-        sx, sy = den // x.den, den // y.den
-        return x.a * sx, x.b * sx, y.a * sy, y.b * sy, den
+        (xa, xb), (ya, yb) = self._over(x, den), self._over(y, den)
+        return (*_machine(_bound(xa, xb) + _bound(ya, yb), xa, xb, ya, yb), den)
 
     def add(self, x, y):
         xa, xb, ya, yb, den = self._common(x, y)
@@ -168,23 +217,39 @@ class ZwArrays:
     def neg(self, x):
         return ZwArray(-x.a, -x.b, x.den)
 
+    def concatenate(self, arrays):
+        """Arrays joined along the first axis, over their least common
+        denominator."""
+        den = math.lcm(*(x.den for x in arrays))
+        a, b = zip(*(self._over(x, den) for x in arrays))
+        return ZwArray(np.concatenate(a), np.concatenate(b), den)
+
     def mul(self, x, y):
         """Elementwise products, broadcast as numpy does; two products, not
         three, when one operand is rational."""
-        if not y.b.any():
-            return ZwArray(x.a * y.a, x.b * y.a, x.den * y.den)
-        if not x.b.any():
-            return ZwArray(x.a * y.a, x.a * y.b, x.den * y.den)
-        return ZwArray(*mul(x.a, x.b, y.a, y.b), x.den * y.den)
+        xa, xb, ya, yb = _machine(3 * _bound(x.a, x.b) * _bound(y.a, y.b), x.a, x.b, y.a, y.b)
+        den = x.den * y.den
+        if not yb.any():
+            return ZwArray(xa * ya, xb * ya, den)
+        if not xb.any():
+            return ZwArray(xa * ya, xa * yb, den)
+        return ZwArray(*mul(xa, xb, ya, yb), den)
 
     def matmul(self, x, y):
-        """Matrix products of stacks, broadcast as numpy's matmul does."""
-        return ZwArray(*matmul(x.a, x.b, y.a, y.b), x.den * y.den)
+        """Matrix products of stacks, broadcast as numpy's matmul does: three
+        products, (a1 + b1)(a2 + b2) giving the cross terms, and one where
+        both operands are rational."""
+        bound = 8 * x.shape[-1] * _bound(x.a, x.b) * _bound(y.a, y.b)
+        a1, b1, a2, b2 = _machine(bound, x.a, x.b, y.a, y.b)
+        aa, den = a1 @ a2, x.den * y.den
+        if not (b1.any() or b2.any()):
+            return ZwArray(aa, np.zeros_like(aa), den)
+        bb = b1 @ b2
+        return ZwArray(aa - bb, (a1 + b1) @ (a2 + b2) - aa - bb - bb, den)
 
     def bilinear(self, T):
-        """``_encoded_lie.TableArrays.bilinear``, by ``sparse_bilinear``."""
-        form = sparse_bilinear(self, T)
-        return lambda X, Y: ZwArray(*form(X, Y), X.den * Y.den * T.den)
+        """``_encoded_lie.TableArrays.bilinear``, by ``bilinear``."""
+        return bilinear(self, T)
 
     def random(self, rng, shape):
         """An array of the elements ``random_scalar`` draws, from the same
@@ -195,16 +260,18 @@ class ZwArrays:
             dab = [(rand(1, 8), rand(-9, 10), rand(-9, 10)) for _ in range(n)]
         else:
             dab = [(d, a, 0) for a, d in [(rand(-9, 10), rand(1, 8)) for _ in range(n)]]
-        d, a, b = np.array(dab, dtype=np.int64).reshape(n, 3).T.astype(object)
-        den = math.lcm(*d)
+        d, a, b = np.array(dab, dtype=np.int64).reshape(n, 3).T
+        den = math.lcm(*d.tolist())  # at most lcm(1, ..., 7) = 420
         return ZwArray((a * (den // d)).reshape(shape), (b * (den // d)).reshape(shape), den)
 
     def nonzero(self, x):
         return (x.a != 0) | (x.b != 0)
 
     def equal(self, x, y):
-        """Elementwise equality, by cross-multiplying the denominators."""
-        return (x.a * y.den == y.a * x.den) & (x.b * y.den == y.b * x.den)
+        """Elementwise equality, of the numerators over the least common
+        denominator."""
+        xa, xb, ya, yb, _ = self._common(x, y)
+        return (xa == ya) & (xb == yb)
 
     def rref(self, x):
         """(the RREF of a 2-d ZwArray, its pivot columns), as
@@ -216,7 +283,8 @@ class ZwArrays:
         each pivot row is multiplied by the conjugate (pa - pb) - pb w of its
         pivot pa + pb w and divided by the norm pa^2 - pa pb + pb^2, and the
         result is put over its least common denominator, so the RREF, which
-        is unique, has one representation.
+        is unique, has one representation.  Each step runs on int64 within
+        the bound of the int64 rule, else on Python ints from there on.
         """
         a, b = x.a.copy(), x.b.copy()
         m, n = a.shape
@@ -234,18 +302,22 @@ class ZwArrays:
             rows = np.flatnonzero((a[:, c] != 0) | (b[:, c] != 0))
             rows = rows[rows != r]
             if rows.size:
+                a, b = _machine(6 * _bound(a[r], b[r]) * _bound(a[rows], b[rows]), a, b)
                 ua, ub = mul(a[r, c], b[r, c], a[rows], b[rows])
                 va, vb = mul(a[rows, c][:, None], b[rows, c][:, None], a[r], b[r])
                 a[rows], b[rows] = _primitive(ua - va, ub - vb)
             pivots.append(c)
+        a, b = _machine(6 * _bound(a, b) ** 2, a, b)
         norms = []
         for r, c in enumerate(pivots):
-            pa, pb = a[r, c], b[r, c]
+            pa, pb = int(a[r, c]), int(b[r, c])
             a[r], b[r] = mul(pa - pb, -pb, a[r], b[r])
             norms.append(pa * pa - pa * pb + pb * pb)
         den = math.lcm(1, *norms)
-        scale = np.array(norms + [den] * (m - len(norms)), dtype=object)[:, None]
-        a, b = a * (den // scale), b * (den // scale)
+        scale = [den // s for s in norms] + [1] * (m - len(norms))
+        a, b = _machine(max(_bound(a, b), 1) * max(scale, default=1), a, b)
+        scale = np.array(scale, dtype=a.dtype)[:, None]
+        a, b = a * scale, b * scale
         g = math.gcd(den, *np.gcd.reduce(np.concatenate([a, b], axis=1), axis=1).tolist())
         return ZwArray(a // g, b // g, den // g), tuple(pivots)
 

@@ -130,9 +130,6 @@ class AlgebraElement:
     def norm(self):
         return self.algebra.norm(self)
 
-    def is_zero(self):
-        return not any(self.coords)
-
     def __bool__(self):
         return any(map(bool, self.coords))
 
@@ -408,10 +405,6 @@ class StructureConstantAlgebra:
     @classmethod
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
-
-    def same_tensor_as(self, other):
-        """Entrywise tensor equality (labels and field must already agree)."""
-        return self.tensor == other.tensor
 
     def __repr__(self):
         return f"StructureConstantAlgebra(dim {self.dim} over {self.field})"

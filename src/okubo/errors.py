@@ -25,10 +25,6 @@ class InfiniteField(OkuboError):
     pass
 
 
-class AmbientMismatch(OkuboError):
-    pass
-
-
 class AlgebraMismatch(OkuboError):
     pass
 

@@ -14,9 +14,7 @@ induces
   the field's exact arrays (``_encoded_lie.mult_stacks`` and
   ``pulled_tensor``: lookup tables, mod-p arrays or Z[w] numerators); the
   alternative laws are proved by a complete certificate and sampled by
-  random trials on the same batch layer as ``verify``.  The para-Hurwitz
-  algebra of a unital algebra is ``product_tensor(C, C)`` with C the
-  conjugation.
+  random trials on the same batch layer as ``verify``.
 
 Each idempotent is verified in one pass: ``tau_map``, ``classify_idempotent``
 and ``nonclassified_report`` share one check of the whole tau contract.
@@ -48,7 +46,7 @@ from .errors import (
     NotIdempotent,
 )
 from .fields import cube_root_of_unity
-from .linalg import Matrix, nullspace, solve
+from .linalg import Matrix, nullspace
 from .models import build_sl3_model
 
 
@@ -299,44 +297,6 @@ def twist_report(algebra, f, trials=500, seed=0):
         alternative_ok=alt_ok,
         alternative_certificate_ok=certificate_ok,
         seed=seed,
-    )
-
-
-def unit_of(algebra):
-    """The two-sided unit of a unital algebra, or None."""
-    field = algebra.field
-    dim = algebra.dim
-    rows = []
-    rhs = []
-    one, zero = field.one, field.zero
-    for j in range(dim):
-        for k in range(dim):
-            rows.append([algebra.tensor[i][j][k] for i in range(dim)])
-            rhs.append(one if j == k else zero)
-    u = solve(Matrix(field, rows), rhs)
-    if u is None:
-        return None
-    cand = algebra.element(u)
-    if algebra.right_mult_matrix(cand) != Matrix.identity(field, dim):
-        return None
-    return cand
-
-
-def para_hurwitz_of(algebra):
-    """The para-Hurwitz algebra x.y = conj(x) conj(y) of a unital algebra,
-    with conj(x) = n(1, x) 1 - x."""
-    unit = unit_of(algebra)
-    if unit is None:
-        raise ValueError("para-Hurwitz construction needs a unital algebra")
-    # column j of C is conj(b_j) = n(1, b_j) 1 - b_j
-    polar = [algebra.norm_polar(unit, b) for b in algebra.basis()]
-    conj = Matrix(
-        algebra.field,
-        [[u * p for p in polar] for u in unit.coords],
-    ) - Matrix.identity(algebra.field, algebra.dim)
-    return StructureConstantAlgebra(
-        algebra.field, algebra.dim, algebra.labels, algebra.product_tensor(conj, conj),
-        form=algebra.form, grading=None,
     )
 
 

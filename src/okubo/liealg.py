@@ -2,11 +2,11 @@
 
 The derivation space of a structure-constant algebra is the nullspace of the
 Leibniz system d(b_i b_j) = d(b_i) b_j + b_i d(b_j): for an 8-dimensional
-algebra that is one exact row reduction of a 512 x 64 system.  The Leibniz
-system is an encoded array over fields with lookup tables
-(``_kernels.supports_field``), reduced by ``_kernels.rref_encoded``, and a
-``Matrix`` otherwise, reduced by ``linalg``'s exact RREF; only its distinct
-nonzero rows are reduced, which keeps the row space.
+algebra that is one exact row reduction of a 512 x 64 system.  Over the
+finite fields it is built from the tensor and reduced on the field's exact
+array backend (``ar.rref``), over Q and Q(w) as ``Scalar`` rows reduced by
+``linalg``; only its distinct nonzero rows are reduced, which keeps the row
+space.
 
 The analysis on top of it runs on exact arrays (``_encoded_lie``), on the
 backend ``_encoded_lie.arrays_for`` picks from the field: table-encoded
@@ -25,68 +25,86 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _encoded_lie, _kernels
+from . import _encoded_lie
 from .errors import Inconclusive, InfiniteField, SingularMatrix
 from .linalg import Matrix, Subspace, nullspace
 
 
-def leibniz_system(algebra):
-    """The Leibniz conditions as a (dim^3) x (dim^2) system: an encoded
-    integer array over fields with lookup tables, else a Matrix.
+def leibniz_system(ar, algebra):
+    """The Leibniz conditions as a (dim^3, dim^2) array on the backend ``ar``.
 
-    Unknown 8r+c is the (r, c) entry of the derivation matrix; D(b_j) is
-    column j.
+    Row (i, j, k) is the b_k coordinate of D(b_i b_j) - D(b_i) b_j -
+    b_i D(b_j), and unknown r dim + s is the entry D[r][s] of the derivation
+    matrix, whose column s is D(b_s).  Each of the three terms puts every
+    nonzero entry c_ijk into dim cells, and no two entries share a cell
+    within one term, so a term is a gather of the entries; the terms are
+    summed on the cells any of them reaches, and the rest is zero.
     """
-    if _kernels.supports_field(algebra.field):
-        return _encoded_lie.leibniz_system(algebra)
-    field = algebra.field
-    dim = algebra.dim
-    zero = field.zero
-    nrows = dim * dim * dim
-    rows = [[zero] * (dim * dim) for _ in range(nrows)]
-    for i, j, k, c in algebra.entries:
-        # d(b_i * b_j) term: equation (i, j, m) uses D[m][k]
-        for m in range(dim):
-            r = (i * dim + j) * dim + m
-            rows[r][m * dim + k] = rows[r][m * dim + k] + c
-        # d(b_i) * b_j term: the entry is c = c[r0][j][m] with r0 = i, m = k
-        # it appears in equation (i2, j, k) at unknown D[i][i2] for every i2
-        for i2 in range(dim):
-            r = (i2 * dim + j) * dim + k
-            rows[r][i * dim + i2] = rows[r][i * dim + i2] - c
-        # b_i * d(b_j) term: the entry is c = c[i][r0][m] with r0 = j, m = k
-        for j2 in range(dim):
-            r = (i * dim + j2) * dim + k
-            rows[r][j * dim + j2] = rows[r][j * dim + j2] - c
-    return Matrix(field, rows)
+    n, entries = algebra.dim, algebra.entries
+    i, j, k = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3).T
+    padded = ar.array([algebra.field.zero] + [c for *_, c in entries])
+    m = np.arange(n)[:, None]
+    cells = np.stack([  # row dim^2 + column, per term, m and entry
+        ((i * n + j) * n + m) * n * n + m * n + k,  # D(b_i * b_j): D[m][k] c_ijk
+        ((m * n + j) * n + k) * n * n + i * n + m,  # D(b_m) * b_j: D[i][m]
+        ((i * n + m) * n + k) * n * n + j * n + m,  # b_i * D(b_m): D[j][m]
+    ])
+    reached, where = np.unique(cells, return_inverse=True)
+    terms = []
+    for at in where.reshape(cells.shape):
+        index = np.zeros(len(reached), dtype=np.int64)
+        index[at] = np.arange(1, len(i) + 1)
+        terms.append(padded[index])
+    values = ar.sub(ar.sub(terms[0], terms[1]), terms[2])
+    index = np.zeros(n**5, dtype=np.int64)
+    index[reached] = np.arange(1, len(reached) + 1)
+    return ar.concatenate([padded[:1], values])[index].reshape(n**3, n * n)
 
 
 def derivations(algebra):
-    """The full derivation space as a Subspace of flattened dim x dim maps.
+    """The full derivation space as a Subspace of flattened dim x dim maps:
+    the nullspace of the Leibniz system, on the field's array backend.
 
     Only the distinct nonzero rows of the Leibniz system are reduced (216 of
     the 512 for the Okubo algebra): dropping a zero or repeated row keeps
-    the row space, hence the nullspace.
+    the row space, hence the nullspace.  Over Q and Q(w) the system is
+    still built as Scalar rows and reduced by ``linalg``; ROADMAP item 7
+    says why it waits for ROADMAP item 1.
     """
-    field = algebra.field
-    system = leibniz_system(algebra)
-    if isinstance(system, Matrix):
-        distinct = {tuple(s.rep for s in row): row for row in system.rows}
-        distinct.pop((field.zero.rep,) * system.ncols, None)
-        # one row is kept when all are zero, so that the width stays known
-        return nullspace(Matrix(field, list(distinct.values()) or system.rows[:1]))
-    basis = _kernels.nullspace_encoded(field, _distinct_nonzero_rows(system))
-    return Subspace(field, algebra.dim**2, _kernels.decode_rows(field, basis))
+    field, dim = algebra.field, algebra.dim
+    if field.characteristic == 0:
+        rows = [[field.zero] * (dim * dim) for _ in range(dim**3)]
+        for i, j, k, c in algebra.entries:  # the three terms of leibniz_system
+            for m in range(dim):
+                rows[(i * dim + j) * dim + m][m * dim + k] += c
+                rows[(m * dim + j) * dim + k][i * dim + m] -= c
+                rows[(i * dim + m) * dim + k][j * dim + m] -= c
+        distinct = {tuple(s.rep for s in row): row for row in rows}
+        distinct.pop((field.zero.rep,) * dim * dim, None)
+        return nullspace(Matrix(field, list(distinct.values()) or rows[:1]))
+    ar = _encoded_lie.arrays_for(algebra.field)
+    system = _distinct_nonzero_rows(ar, leibniz_system(ar, algebra))
+    basis = _encoded_lie.nullspace(ar, system)
+    return Subspace(algebra.field, algebra.dim**2, ar.decode(basis))
 
 
-def _distinct_nonzero_rows(system):
-    """The first occurrence of each distinct nonzero row of an encoded array."""
-    width = system.shape[1] * system.itemsize
-    raw = system.tobytes()
-    first = {}
-    for r in np.flatnonzero(system.any(axis=1)).tolist():
-        first.setdefault(raw[r * width:(r + 1) * width], r)
-    return system[list(first.values())]
+def _distinct_nonzero_rows(ar, system):
+    """The first occurrence of each distinct nonzero row of a 2-d array,
+    compared by its numpy parts (the one array on the tables), which
+    represent one value one way within an array."""
+    nonzero = system[ar.nonzero(system).any(axis=1)]
+    keys = zip(*map(_row_keys, getattr(nonzero, "parts", (nonzero,))))
+    first = {key: r for r, key in reversed(list(enumerate(keys)))}
+    return nonzero[sorted(first.values())]
+
+
+def _row_keys(part):
+    """A hashable key per row of a 2-d numpy array: its bytes, or its
+    Python ints in an object array."""
+    if part.dtype == object:
+        return map(tuple, part.tolist())
+    part = np.ascontiguousarray(part)
+    return part.view(np.dtype((np.void, part.shape[1] * part.itemsize))).ravel().tolist()
 
 
 def is_simple_finite(lie, seed=0, max_trials=20):

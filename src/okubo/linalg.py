@@ -24,11 +24,6 @@ class Matrix:
         self.rows = tuple(tuple(r) for r in rows)
 
     @classmethod
-    def from_rows(cls, field, rows):
-        m = cls(field, [[field.scalar(x) for x in row] for row in rows])
-        return m
-
-    @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
@@ -103,22 +98,9 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
 
-    def trace(self):
-        acc = self.field.zero
-        for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def is_zero(self):
-        return all(not a for r in self.rows for a in r)
-
     def to_vec(self):
         """Row-major flattening, used to treat linear maps as vectors."""
         return tuple(a for r in self.rows for a in r)
-
-    @classmethod
-    def from_vec(cls, field, vec, nrows, ncols):
-        return cls(field, [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)])
 
     def __eq__(self, other):
         return (
@@ -268,20 +250,6 @@ def rref(matrix):
     """Reduced row echelon form: returns (Matrix, rank, pivot columns)."""
     rows, rank, pivots = _rref_rows([list(r) for r in matrix.rows], matrix.field)
     return Matrix(matrix.field, rows), rank, pivots
-
-
-def solve(matrix, rhs):
-    """One solution of M x = b, or None when the system is inconsistent."""
-    field = matrix.field
-    aug = Matrix(field, [list(row) + [b] for row, b in zip(matrix.rows, rhs)])
-    red, rank, pivots = rref(aug)
-    n = matrix.ncols
-    if n in pivots:
-        return None
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][n]
-    return tuple(x)
 
 
 def nullspace(matrix):

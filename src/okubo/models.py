@@ -361,9 +361,6 @@ class TruncatedPoly:
                             )
         return TruncatedPoly(self.field, out)
 
-    def is_zero(self):
-        return all(not a for r in self.coeffs for a in r)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedPoly)
@@ -455,13 +452,6 @@ class Char3Model:
         scalar = poly.coefficient(0, 0)
         coords = [poly.coefficient(i, j) for i, j in CHAR3_MONOMIALS]
         return scalar, coords
-
-    def star(self, f, g):
-        """The Okubo product on nonconstant spans: diamond minus its constant part."""
-        d = diamond_truncated(f, g)
-        rows = [list(r) for r in d.coeffs]
-        rows[0][0] = self.field.zero
-        return TruncatedPoly(self.field, rows)
 
 
 def build_char3_model(field):

@@ -148,10 +148,6 @@ def degree(poly):
     return len(poly) - 1
 
 
-def poly_mul(a, b, field):
-    return _mul(a, b, Coefficients(field))
-
-
 def poly_divmod(a, b, field):
     return _divmod(a, b, Coefficients(field))
 
@@ -240,11 +236,6 @@ def _factor_key(f, key=lambda c: repr(c.rep)):
     """The sort key of a factor: its degree, then the keys of its coefficients
     (by default those of Scalars)."""
     return (degree(f), [key(c) for c in f])
-
-
-def factor_into_irreducibles(poly, field):
-    """``factor`` of a polynomial with Scalar coefficients."""
-    return factor(poly, Coefficients(field))
 
 
 def factor(poly, F):

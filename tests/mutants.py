@@ -37,19 +37,64 @@ MUTANTS = [
     {
         "name": "the object backends' bilinear map drops its last nonzero column",
         "file": "_zw.py",
-        "find": "        for i, j, ks, c in terms:\n",
-        "replace": "        for i, j, ks, c in terms[:-1]:\n",
+        "find": "    I, J = np.nonzero(ar.nonzero(T).any(axis=2))\n",
+        "replace": "    I, J = (a[:-1] for a in np.nonzero(ar.nonzero(T).any(axis=2)))\n",
         "tests": ["tests/test_bilinear.py::test_bilinear_matches_object_path"],
     },
     {
         "name": "a product with a rational right factor gets a wrong w-part",
         "file": "_zw.py",
-        "find": "            return ZwArray(x.a * y.a, x.b * y.a, x.den * y.den)\n",
-        "replace": "            return ZwArray(x.a * y.a, x.a * y.a, x.den * y.den)\n",
+        "find": "            return ZwArray(xa * ya, xb * ya, den)\n",
+        "replace": "            return ZwArray(xa * ya, xa * ya, den)\n",
         "tests": [
             "tests/test_zw.py",
             "tests/test_bilinear.py::test_bilinear_matches_object_path",
         ],
+    },
+    {
+        "name": "the int64 bound is ignored and every operation runs in int64",
+        "file": "_zw.py",
+        "find": "    if bound < LIMIT and all(p.dtype != object for p in parts):\n",
+        "replace": "    if all(p.dtype != object for p in parts):\n",
+        "tests": ["tests/test_zw.py"],
+    },
+    {
+        "name": "the last row block of the bilinear map is dropped",
+        "file": "_zw.py",
+        "find": "        blocks = range(0, max(len(X), 1), BLOCK)\n",
+        "replace": "        blocks = range(0, max(len(X) - BLOCK, 1), BLOCK)\n",
+        "tests": [
+            "tests/test_zw.py",
+            "tests/test_bilinear.py::test_bilinear_matches_object_path",
+        ],
+    },
+    {
+        "name": "the elimination steps of rref skip the promotion to Python ints",
+        "file": "_zw.py",
+        "find": "                a, b = _machine(6 * _bound(a[r], b[r]) * _bound(a[rows], b[rows]), a, b)\n",
+        "replace": "",
+        "tests": ["tests/test_zw.py"],
+    },
+    {
+        "name": "the bulk draws keep the low bits of each word",
+        "file": "_encoded_lie.py",
+        "find": "        values = (words >> shift).astype(np.int64)\n",
+        "replace": "        values = (words % (1 << (32 - shift))).astype(np.int64)\n",
+        "tests": ["tests/test_bilinear.py::test_random_draws_the_elements_of_random_element"],
+    },
+    {
+        "name": "charpoly drops the last term of each Berkowitz column",
+        "file": "_encoded_lie.py",
+        "find": "        for _ in range(r - 1):\n            col.append(neg(dot(row, v)))\n",
+        "replace": "        for _ in range(r - 2):\n            col.append(neg(dot(row, v)))\n",
+        "tests": ["tests/test_liealg.py::TestEncodedLie::test_charpoly_is_matrix_charpoly"],
+    },
+    {
+        "name": "the MeatAxe skips the transposed spin of Norton's criterion",
+        "file": "_encoded_lie.py",
+        "find": "                if spin_dim(ar, ar.from_entries(ker_t[0]), gens_t, words_t) != n:\n",
+        "replace": "                if False:\n",
+        "tests": ["tests/test_liealg.py::TestEncodedLie::test_perfect_centerless_nonsimple_rejected"],
     },
     {
         "name": "a random element of Q(w) is drawn numerator first",

@@ -1,5 +1,5 @@
-"""The reference for the array pipeline: the derivation analysis, the
-MeatAxe and the sl3 model products on ``Scalar`` matrices, with the
+"""The reference for the array pipeline: the Leibniz system, the derivation
+analysis, the MeatAxe and the sl3 model products on ``Scalar`` matrices, with the
 characteristic polynomial, the sl3 norm and product on ``Matrix`` objects,
 the truncated-polynomial product by partial derivatives, the irreducible
 polynomials of degree <= 4, the identity checks on elements
@@ -12,7 +12,9 @@ code path for three backends); the tests compare every stage with the
 functions here, which share no arithmetic with the arrays beyond the
 ``Scalar`` field operations.  The test-only paper checks built on them live
 here too: the Block bracket of the commutator algebra, the bracket of the
-inner derivations and the grading of Der(O) in characteristic 3.
+inner derivations, the grading of Der(O) in characteristic 3 and the
+para-Hurwitz algebra of a unital algebra, with helpers on ``Matrix``
+objects and polynomials that only the tests use.
 
 Subspaces are ``linalg.Subspace`` objects; the operations on them that only
 this module needs (sums, intersections, membership, coordinates and the
@@ -28,10 +30,69 @@ import numpy as np
 
 from okubo import _kernels, polys
 from okubo.algebra import IdentityBatch, StructureConstantAlgebra
-from okubo.errors import AmbientMismatch, BadCharacteristic, Inconclusive, InfiniteField, NotClosed
-from okubo.liealg import DerivationAnalysis, derivations
+from okubo.errors import BadCharacteristic, Inconclusive, InfiniteField, NotClosed, OkuboError
+from okubo.liealg import DerivationAnalysis
 from okubo.linalg import Matrix, Subspace, nullspace, rref
 from okubo.models import TruncatedPoly
+
+# ---------------------------------------------------------------------------
+# helpers on Matrix objects, polynomials and algebras
+# ---------------------------------------------------------------------------
+
+
+class AmbientMismatch(OkuboError):
+    pass
+
+
+def from_rows(field, rows):
+    """A Matrix from rows of ints or Scalars."""
+    return Matrix(field, [[field.scalar(x) for x in row] for row in rows])
+
+
+def from_vec(field, vec, nrows, ncols):
+    """The nrows x ncols Matrix with row-major entries vec."""
+    return Matrix(field, [vec[i * ncols:(i + 1) * ncols] for i in range(nrows)])
+
+
+def trace(matrix):
+    acc = matrix.field.zero
+    for i in range(min(matrix.nrows, matrix.ncols)):
+        acc = acc + matrix.rows[i][i]
+    return acc
+
+
+def is_zero(x):
+    """Is a Matrix, or a TruncatedPoly, zero?"""
+    return all(not a for r in (x.rows if isinstance(x, Matrix) else x.coeffs) for a in r)
+
+
+def poly_mul(a, b, field):
+    """The product of coefficient lists (constant term first), trimmed."""
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return polys.trim(out)
+
+
+def solve(matrix, rhs):
+    """One solution of M x = b, or None when the system is inconsistent."""
+    field = matrix.field
+    aug = Matrix(field, [list(row) + [b] for row, b in zip(matrix.rows, rhs)])
+    red, rank, pivots = rref(aug)
+    n = matrix.ncols
+    if n in pivots:
+        return None
+    x = [field.zero] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red.rows[r][n]
+    return tuple(x)
+
+
+def factor_into_irreducibles(poly, field):
+    """``polys.factor`` of a polynomial with Scalar coefficients."""
+    return polys.factor(poly, polys.Coefficients(field))
+
 
 # ---------------------------------------------------------------------------
 # subspaces
@@ -163,6 +224,43 @@ def spin(field, ambient, seeds, operators):
 # ---------------------------------------------------------------------------
 
 
+def leibniz_system(algebra):
+    """The Leibniz conditions as a (dim^3) x (dim^2) Matrix, built entry by
+    entry from the tensor; unknown 8r+c is the (r, c) entry of the
+    derivation matrix, and D(b_j) is column j."""
+    field = algebra.field
+    dim = algebra.dim
+    zero = field.zero
+    nrows = dim * dim * dim
+    rows = [[zero] * (dim * dim) for _ in range(nrows)]
+    for i, j, k, c in algebra.entries:
+        # d(b_i * b_j) term: equation (i, j, m) uses D[m][k]
+        for m in range(dim):
+            r = (i * dim + j) * dim + m
+            rows[r][m * dim + k] = rows[r][m * dim + k] + c
+        # d(b_i) * b_j term: the entry is c = c[r0][j][m] with r0 = i, m = k
+        # it appears in equation (i2, j, k) at unknown D[i][i2] for every i2
+        for i2 in range(dim):
+            r = (i2 * dim + j) * dim + k
+            rows[r][i * dim + i2] = rows[r][i * dim + i2] - c
+        # b_i * d(b_j) term: the entry is c = c[i][r0][m] with r0 = j, m = k
+        for j2 in range(dim):
+            r = (i * dim + j2) * dim + k
+            rows[r][j * dim + j2] = rows[r][j * dim + j2] - c
+    return Matrix(field, rows)
+
+
+def derivations(algebra):
+    """The derivation space, the nullspace of the distinct nonzero rows of
+    ``leibniz_system`` by ``linalg``'s RREF."""
+    field = algebra.field
+    system = leibniz_system(algebra)
+    distinct = {tuple(s.rep for s in row): row for row in system.rows}
+    distinct.pop((field.zero.rep,) * system.ncols, None)
+    # one row is kept when all are zero, so that the width stays known
+    return nullspace(Matrix(field, list(distinct.values()) or system.rows[:1]))
+
+
 def leibniz_holds(algebra, dmat):
     """Does the map satisfy d(b_i*b_j) = d(b_i)*b_j + b_i*d(b_j) on all basis
     pairs?  The right side is ``product_tensor(D, I) + product_tensor(I, D)``."""
@@ -247,7 +345,7 @@ def lie_close(subspace):
     field = subspace.field
     n = subspace.dim
     side = round(subspace.ambient**0.5)
-    mats = [Matrix.from_vec(field, row, side, side) for row in subspace.basis]
+    mats = [from_vec(field, row, side, side) for row in subspace.basis]
     tensor = []
     for a in range(n):
         row = []
@@ -293,7 +391,7 @@ def derived_subalgebra(lie):
 def killing_form(lie):
     """K[i][j] = trace(ad b_i o ad b_j)."""
     ads = [lie.left_mult_matrix(b) for b in lie.basis()]
-    return Matrix(lie.field, [[(ads[i] @ ads[j]).trace() for j in range(lie.dim)]
+    return Matrix(lie.field, [[trace(ads[i] @ ads[j]) for j in range(lie.dim)]
                               for i in range(lie.dim)])
 
 
@@ -358,7 +456,7 @@ def is_simple_finite(lie, seed=0, max_trials=20):
     rng = random.Random(seed)
     for _ in range(max_trials):
         theta = _random_enveloping_element(gens, field, rng)
-        for f in polys.factor_into_irreducibles(charpoly(theta), field):
+        for f in factor_into_irreducibles(charpoly(theta), field):
             ker = nullspace(_poly_apply_matrix(f, theta))
             if ker.dim == 0:
                 continue
@@ -550,6 +648,49 @@ def _grading_on(algebra, der):
 
 
 # ---------------------------------------------------------------------------
+# the unit and the para-Hurwitz algebra of a unital algebra
+# ---------------------------------------------------------------------------
+
+
+def unit_of(algebra):
+    """The two-sided unit of a unital algebra, or None."""
+    field = algebra.field
+    dim = algebra.dim
+    rows = []
+    rhs = []
+    one, zero = field.one, field.zero
+    for j in range(dim):
+        for k in range(dim):
+            rows.append([algebra.tensor[i][j][k] for i in range(dim)])
+            rhs.append(one if j == k else zero)
+    u = solve(Matrix(field, rows), rhs)
+    if u is None:
+        return None
+    cand = algebra.element(u)
+    if algebra.right_mult_matrix(cand) != Matrix.identity(field, dim):
+        return None
+    return cand
+
+
+def para_hurwitz_of(algebra):
+    """The para-Hurwitz algebra x.y = conj(x) conj(y) of a unital algebra,
+    with conj(x) = n(1, x) 1 - x."""
+    unit = unit_of(algebra)
+    if unit is None:
+        raise ValueError("para-Hurwitz construction needs a unital algebra")
+    # column j of C is conj(b_j) = n(1, b_j) 1 - b_j
+    polar = [algebra.norm_polar(unit, b) for b in algebra.basis()]
+    conj = Matrix(
+        algebra.field,
+        [[u * p for p in polar] for u in unit.coords],
+    ) - Matrix.identity(algebra.field, algebra.dim)
+    return StructureConstantAlgebra(
+        algebra.field, algebra.dim, algebra.labels, algebra.product_tensor(conj, conj),
+        form=algebra.form, grading=None,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the sl3 matrix model
 # ---------------------------------------------------------------------------
 
@@ -581,7 +722,7 @@ def sr_form(a):
 
 def sr_polar(a, b):
     """Polar form of sr: tr(a)tr(b) - tr(ab), valid in every characteristic."""
-    return a.trace() * b.trace() - (a @ b).trace()
+    return trace(a) * trace(b) - trace(a @ b)
 
 
 def star(model, a, b):
@@ -590,7 +731,7 @@ def star(model, a, b):
     w = model.omega
     ab = a @ b
     ba = b @ a
-    scalar = model._trace_coef * ab.trace()
+    scalar = model._trace_coef * trace(ab)
     return w * ab - (w * w) * ba - scalar * Matrix.identity(model.field, 3)
 
 

@@ -73,6 +73,18 @@ def test_random_draws_the_elements_of_random_element(spec):
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 251, 256, 257, 2**32 - 5, 2**32 + 15])
+def test_bulk_draws_are_randrange(q):
+    # the words of one getrandbits call give randrange(q)'s draws, and the
+    # generator ends where the calls leave it; past 32 bits one call a draw
+    for seed in range(5):
+        for n in (0, 1, 7, 3000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = _encoded_lie._draw_indices(rng, q, (n,)).tolist()
+            assert got == [ref.randrange(q) for _ in range(n)]
+            assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("spec", ["gf(3)", "gf(257)", "q(w)"])
 def test_bilinear_of_zero_tensor_and_empty_batches(spec):
     algebra = build_split_okubo(field_from_spec(spec))

@@ -261,7 +261,7 @@ class TestExportAndReports:
         assert code == 0
         data = out.read_text()
         back = StructureConstantAlgebra.from_json(data)
-        assert back.same_tensor_as(build_split_okubo(GF(3)))
+        assert back.tensor == build_split_okubo(GF(3)).tensor
 
     def test_json_flag_writes_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"

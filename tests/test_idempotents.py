@@ -32,14 +32,20 @@ from okubo.idempotents import (
     minpoly_degrees,
     nonclassified_report,
     norm_rank_on,
-    para_hurwitz_of,
     petersson_twist,
     tau_map,
     twist_report,
-    unit_of,
 )
 from okubo.linalg import Matrix, Subspace
-from scalar_reference import ObjectBatch, contains_vector, full_space, zero_space
+from scalar_reference import (
+    ObjectBatch,
+    contains_vector,
+    from_rows,
+    full_space,
+    para_hurwitz_of,
+    unit_of,
+    zero_space,
+)
 from okubo.models import build_sl3_model, build_split_okubo, distinguished_idempotent
 
 # frozen census facts for GF(3), derived by two independent brute-force passes
@@ -568,7 +574,7 @@ class TestMinpolyAndSliceSearch:
     def test_canonical_idempotent(self, sl3_gf7, gf7):
         w = sl3_gf7.omega
         scale = (w - w * w).inverse()
-        mat = scale * Matrix.from_rows(gf7, [[2, 0, 0], [0, -1, 0], [0, 0, -1]])
+        mat = scale * from_rows(gf7, [[2, 0, 0], [0, -1, 0], [0, 0, -1]])
         f = sl3_gf7.algebra.element(sl3_gf7.coords_of(mat))
         assert is_idempotent(sl3_gf7.algebra, f)
         assert minpoly_check_char_not3(sl3_gf7, f) == 2

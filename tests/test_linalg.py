@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okubo import polys
-from okubo.errors import AmbientMismatch, SingularMatrix
+from okubo.errors import SingularMatrix
 from okubo.fields import GF
 from okubo.linalg import (
     CoordinateSolver,
@@ -13,14 +13,17 @@ from okubo.linalg import (
     Subspace,
     nullspace,
     rref,
-    solve,
 )
 from scalar_reference import (
+    AmbientMismatch,
     charpoly,
     contains,
     coordinates_of,
+    from_rows,
     full_space,
     intersect,
+    is_zero,
+    solve,
     spin,
     sum_with,
     zero_space,
@@ -40,10 +43,10 @@ class TestRref:
     def test_zero(self, gf3):
         z = Matrix.zeros(gf3, 3, 3)
         red, rank, _ = rref(z)
-        assert red.is_zero() and rank == 0
+        assert is_zero(red) and rank == 0
 
     def test_rank_one_gf5(self, gf5):
-        m = Matrix.from_rows(gf5, [[1, 2], [2, 4]])
+        m = from_rows(gf5, [[1, 2], [2, 4]])
         _, rank, _ = rref(m)
         assert rank == 1
 
@@ -78,7 +81,7 @@ class TestNullspace:
         assert nullspace(Matrix.zeros(gf3, 4, 4)).dim == 4
 
     def test_row_gf3(self, gf3):
-        ns = nullspace(Matrix.from_rows(gf3, [[1, 1, 1]]))
+        ns = nullspace(from_rows(gf3, [[1, 1, 1]]))
         assert ns.dim == 2
 
     @pytest.mark.parametrize("p", [3, 7])
@@ -152,7 +155,7 @@ class TestSubspace:
 @settings(max_examples=100, deadline=None)
 def test_rref_row_space_preserved_hypothesis(rows):
     field = GF(3)
-    m = Matrix.from_rows(field, rows)
+    m = from_rows(field, rows)
     red, rank, _ = rref(m)
     before = Subspace.from_vectors(field, 4, [list(r) for r in m.rows])
     after = Subspace.from_vectors(field, 4, [list(r) for r in red.rows])
@@ -175,12 +178,12 @@ class TestMatrixAlgebra:
             for c in cp:
                 acc = acc + power * c
                 power = power @ a
-            assert acc.is_zero()
+            assert is_zero(acc)
 
     def test_charpoly_known(self, gf3, qw):
-        companion = Matrix.from_rows(gf3, [[0, 2], [1, 0]])  # x^2 + 1
+        companion = from_rows(gf3, [[0, 2], [1, 0]])  # x^2 + 1
         assert [str(c) for c in charpoly(companion)] == ["1", "0", "1"]
-        diag = Matrix.from_rows(qw, [[2, 0], [0, 3]])
+        diag = from_rows(qw, [[2, 0], [0, 3]])
         # (x-2)(x-3) = x^2 - 5x + 6
         assert [str(c) for c in charpoly(diag)] == ["6", "-5", "1"]
 
@@ -202,7 +205,7 @@ class TestMatrixAlgebra:
 
     def test_minpoly_known(self, gf7):
         assert [str(c) for c in Matrix.identity(gf7, 3).minpoly()] == ["6", "1"]
-        nilp = Matrix.from_rows(gf7, [[0, 1], [0, 0]])
+        nilp = from_rows(gf7, [[0, 1], [0, 0]])
         assert [str(c) for c in nilp.minpoly()] == ["0", "0", "1"]
 
     def test_inverse(self, gf7, qw):
@@ -228,7 +231,7 @@ class TestMatrixAlgebra:
             assert got is not None
             assert a.matvec(got) == b
         # inconsistent system
-        m = Matrix.from_rows(gf5, [[1, 0], [1, 0]])
+        m = from_rows(gf5, [[1, 0], [1, 0]])
         assert solve(m, (gf5.one, gf5.zero)) is None
 
 
@@ -249,11 +252,11 @@ class TestSolversAndSpin:
             CoordinateSolver(gf7, [vecs[0], vecs[0]])
 
     def test_spin_reaches_whole_space(self, gf3):
-        shift = Matrix.from_rows(gf3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        shift = from_rows(gf3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
         seed = [gf3.one, gf3.zero, gf3.zero]
         assert spin(gf3, 3, [seed], [shift]).dim == 3
 
     def test_spin_invariant_subspace(self, gf3):
-        diag = Matrix.from_rows(gf3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+        diag = from_rows(gf3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
         seed = [gf3.one, gf3.zero, gf3.zero]
         assert spin(gf3, 3, [seed], [diag]).dim == 1

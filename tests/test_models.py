@@ -24,11 +24,14 @@ from scalar_reference import (
     charpoly,
     decompose,
     diamond_via_partials,
+    from_rows,
+    is_zero,
     sl3_products,
     sr_form,
     sr_polar,
     star,
     to_poly,
+    trace,
 )
 from test_algebra import with_entry
 
@@ -81,7 +84,7 @@ class TestSrForm:
         assert sr_form(Matrix.identity(gf7, 3)) == gf7.scalar(3)
 
     def test_diag(self, qq):
-        d = Matrix.from_rows(qq, [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+        d = from_rows(qq, [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
         assert sr_form(d) == qq.from_int(-1)
 
     def test_polar_by_expansion(self, gf7):
@@ -121,7 +124,7 @@ class TestSl3Model:
 
     def test_basis_traceless(self, sl3_gf7, gf7):
         for m in sl3_gf7.basis_matrices:
-            assert m.trace() == gf7.zero
+            assert trace(m) == gf7.zero
 
     def test_xyx_on_all_basis_pairs(self, sl3_gf7):
         # (u*v)*u = sr(u) v, checked here explicitly on all 64 pairs
@@ -135,7 +138,7 @@ class TestSl3Model:
         for _ in range(50):
             a = sl3_gf7.matrix_of(sl3_gf7.algebra.random_element(rng))
             b = sl3_gf7.matrix_of(sl3_gf7.algebra.random_element(rng))
-            assert star(sl3_gf7, a, b).trace() == gf7.zero
+            assert trace(star(sl3_gf7, a, b)) == gf7.zero
 
     def test_norm_multiplicative_qw(self):
         qw = rationals_omega()
@@ -171,7 +174,7 @@ class TestDiamond:
     def test_x_diamond_y_vanishes(self, gf3):
         x = TruncatedPoly.monomial(gf3, 1, 0)
         y = TruncatedPoly.monomial(gf3, 0, 1)
-        assert diamond_truncated(x, y).is_zero()
+        assert is_zero(diamond_truncated(x, y))
 
     def test_x_diamond_x(self, gf3):
         x = TruncatedPoly.monomial(gf3, 1, 0)

@@ -2,14 +2,15 @@
 numerators over Q and Q(w), and coordinates mod p over the finite fields
 beyond the tables."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from okubo import _encoded_lie
+from okubo import _encoded_lie, _zw
 from okubo._encoded_lie import ModArrays, TableArrays
-from okubo._zw import ZwArrays
+from okubo._zw import ZwArray, ZwArrays
 from okubo.fields import field_from_spec
 from okubo.linalg import Matrix, rref
 
@@ -103,3 +104,117 @@ def test_mod_rref_is_linalg_rref(spec):
         want, rank, want_pivots = rref(Matrix(field, rows))
         assert pivots == tuple(want_pivots)
         assert ar.decode(red) == [list(r) for r in want.rows]
+
+
+# ---------------------------------------------------------------------------
+# the int64 rule of ZwArrays: operations near 2^31 and 2^62 against Scalar
+# arithmetic on Python ints, with a plain int64 computation shown to wrap
+# ---------------------------------------------------------------------------
+
+QW = field_from_spec("q(w)")
+
+
+def near(rng, shape, size, dtype=np.int64):
+    """Numerators with |v| in (size - 2^20, size), of random signs."""
+    v = [rng.choice((-1, 1)) * (size - rng.randrange(1, 2**20)) for _ in range(math.prod(shape))]
+    return np.array(v, dtype=np.int64).reshape(shape).astype(dtype)
+
+
+def big(rng, shape, size, den=1, dtype=np.int64):
+    return ZwArray(near(rng, shape, size, dtype), near(rng, shape, size, dtype), den)
+
+
+def wraps(fn, *parts):
+    """Does fn on these int64 arrays differ from fn on their Python ints?"""
+    plain = [np.asarray(r) for r in fn(*parts)]
+    exact = fn(*(p.astype(object) for p in parts))
+    return any((p != e).any() for p, e in zip(plain, exact))
+
+
+def elementwise(op, xs, ys):
+    return [[op(x, y) for x, y in zip(r, s)] for r, s in zip(xs, ys)]
+
+
+def product(xs, ys):
+    return [[sum((x * y for x, y in zip(row, col)), QW.zero) for col in zip(*ys)] for row in xs]
+
+
+def test_mul_and_matmul_near_2_31_promote_where_int64_would_wrap():
+    ar, rng = ZwArrays(QW), random.Random(1)
+    x, y = big(rng, (3, 4), 2**31), big(rng, (3, 4), 2**31, den=5)
+    assert wraps(_zw.mul, x.a, x.b, y.a, y.b)
+    got = ar.mul(x, y)
+    assert got.a.dtype == object
+    assert ar.decode(got) == elementwise(lambda s, t: s * t, ar.decode(x), ar.decode(y))
+    z = big(rng, (4, 2), 2**31, den=7)
+    assert wraps(lambda a, b: (a @ b,), x.a, z.a)
+    got = ar.matmul(x, z)
+    assert got.a.dtype == object
+    assert ar.decode(got) == product(ar.decode(x), ar.decode(z))
+
+
+def test_below_the_bound_stays_int64_and_exact():
+    # 3 * (2^29)^2 < 2^62 for mul; 8 K (2^28)^2 < 2^62 for K = 4
+    ar, rng = ZwArrays(QW), random.Random(2)
+    x, y = big(rng, (3, 4), 2**29), big(rng, (3, 4), 2**29, den=3)
+    got = ar.mul(x, y)
+    assert got.a.dtype == np.int64 and got.b.dtype == np.int64
+    assert ar.decode(got) == elementwise(lambda s, t: s * t, ar.decode(x), ar.decode(y))
+    x, z = big(rng, (3, 4), 2**28), big(rng, (4, 2), 2**28)
+    got = ar.matmul(x, z)
+    assert got.a.dtype == np.int64
+    assert ar.decode(got) == product(ar.decode(x), ar.decode(z))
+
+
+@pytest.mark.parametrize("dtypes", [(np.int64, np.int64), (np.int64, object), (object, np.int64)])
+def test_add_sub_equal_near_2_62(dtypes):
+    # over denominators 2 and 3 the numerators are scaled by 3 and 2: past
+    # 2^63 in int64; mixed int64 and object operands give the same values
+    ar, rng = ZwArrays(QW), random.Random(3)
+    x, y = big(rng, (2, 3), 2**62, 2, dtypes[0]), big(rng, (2, 3), 2**62, 3, dtypes[1])
+    if dtypes == (np.int64, np.int64):
+        assert wraps(lambda a, b: (3 * a + 2 * b,), x.a, y.a)
+    X, Y = ar.decode(x), ar.decode(y)
+    assert ar.decode(ar.add(x, y)) == elementwise(lambda s, t: s + t, X, Y)
+    assert ar.decode(ar.sub(x, y)) == elementwise(lambda s, t: s - t, X, Y)
+    assert not ar.equal(x, y).any()
+    # the same values over another denominator, with numerators past 2^63
+    same = ZwArray(x.a.astype(object) * 3, x.b.astype(object) * 3, 6)
+    assert ar.equal(x, same).all() and ar.equal(same, x).all()
+    assert ar.decode(ar.concatenate([x, same, y])) == X + X + Y
+
+
+def test_rref_near_2_31_promotes_where_elimination_would_wrap():
+    ar, rng = ZwArrays(QW), random.Random(4)
+    x = big(rng, (3, 5), 2**31)
+    def step(a, b):  # the first elimination step, p row_i - row_i[c] row_r
+        u = _zw.mul(a[0, 0], b[0, 0], a[1:], b[1:])
+        v = _zw.mul(a[1:, :1], b[1:, :1], a[0], b[0])
+        return [s - t for s, t in zip(u, v)]
+
+    assert wraps(step, x.a, x.b)
+    red, pivots = ar.rref(x)
+    want, _, want_pivots = rref(Matrix(QW, ar.decode(x)))
+    assert pivots == tuple(want_pivots) and ar.decode(red) == [list(r) for r in want.rows]
+    mixed = ZwArray(x.a, x.b.astype(object), x.den)
+    assert ar.decode(ar.rref(mixed)[0]) == ar.decode(red)
+
+
+def test_bilinear_blocks_near_2_31_and_empty():
+    # one block of rows near 2^31 (on Python ints) between blocks on int64;
+    # an empty batch and a tensor with K = 0
+    ar, rng = ZwArrays(QW), random.Random(5)
+    T = ar.array([[[QW.from_int(rng.randrange(-2, 3)) for _ in range(2)] for _ in range(3)]
+                  for _ in range(3)])
+    rows = 2 * _zw.BLOCK + 3
+    X, Y = big(rng, (rows, 3), 2**20), big(rng, (rows, 3), 2**20, den=2)
+    X.a[_zw.BLOCK:_zw.BLOCK + 5] = Y.b[_zw.BLOCK:_zw.BLOCK + 5] = near(rng, (5, 3), 2**31)
+    got = ar.bilinear(T)(X, Y)
+    assert got.a.dtype == object
+    Xs, Ys, Ts = ar.decode(X), ar.decode(Y), ar.decode(T)
+    want = [[sum((x[i] * y[j] * Ts[i][j][k] for i in range(3) for j in range(3)), QW.zero)
+             for k in range(2)] for x, y in zip(Xs, Ys)]
+    assert ar.decode(got) == want
+    assert ar.bilinear(T)(X[:0], Y[:0]).shape == (0, 2)
+    assert ar.bilinear(T[:, :, :0])(X, Y).shape == (rows, 0)
+    assert ar.decode(ar.matmul(X[:2, :0], Y[:0, :3])) == [[QW.zero] * 3] * 2
