@@ -7,8 +7,8 @@
   int64 arrays (0 is zero, 1 is one), and arithmetic goes through the
   tables;
 * ``ModArrays``, over every other finite field: an element of GF(p^k) is
-  its k coordinates on the power basis, as k numpy object arrays of Python
-  ints mod p;
+  its k coordinates on the power basis, as k numpy arrays of ints mod p,
+  whose products run on int64 under a proved bound, else on Python ints;
 * ``_zw.ZwArrays``, over Q and Q(w): numerators a + b*w over one positive
   denominator, as int64 arrays under a proved bound, else Python ints.
 
@@ -135,7 +135,7 @@ class TableArrays:
 
 class ModArray(_zw.PartsArray):
     """An array over GF(p^k): its k coordinate arrays on the power basis
-    1, t, ..., t^(k-1), numpy object arrays of Python ints in [0, p)."""
+    1, t, ..., t^(k-1), int64 or object numpy arrays of ints in [0, p)."""
 
     __slots__ = ("parts",)
 
@@ -154,7 +154,7 @@ class ModArrays:
     """The exact array backend over a finite field without lookup tables:
     ``ModArray`` values, with the operations of ``TableArrays``.  Products
     multiply the coordinate arrays as polynomials in t and reduce them by
-    the field's monic modulus, then mod p."""
+    the field's monic modulus, then mod p (``_times``)."""
 
     def __init__(self, field):
         self.field = field
@@ -197,21 +197,34 @@ class ModArrays:
     def neg(self, x):
         return ModArray(-a % self.p for a in x.parts)
 
-    def _times(self, x, y, product):
+    def _times(self, x, y, product, K=1):
         """The product of two ModArrays, with ``product`` multiplying their
-        coordinate arrays: a polynomial in t of degree < 2k - 1, reduced by
-        t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1))."""
-        k = self.k
+        coordinate arrays, sums of K products each: a polynomial in t of
+        degree < 2k - 1, reduced by t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1)).
+
+        It runs on int64 when k max(K, 1) (p-1)^2 < 2^63, else on Python
+        ints.  With coordinates in [0, p), a product of two coordinate
+        arrays has entries and partial sums in [0, K (p-1)^2]; the
+        coefficient of t^d sums at most k of them, so lies in
+        [0, k K (p-1)^2].  The reduction runs from d = 2k - 2 down to k,
+        takes the coefficient of t^d mod p first, and subtracts m_i times it,
+        at most (p-1)^2, from the coefficient of t^(d-k+i); a coefficient
+        receives at most k - 1 such subtractions, so it stays in
+        [-(k-1) (p-1)^2, k K (p-1)^2].  Every value is thus at most
+        k max(K, 1) (p-1)^2 in absolute value, and int64 cannot wrap."""
+        k, p = self.k, self.p
+        dtype = np.int64 if k * max(K, 1) * (p - 1) ** 2 < 1 << 63 else object
         terms = [None] * (2 * k - 1)
         for i, a in enumerate(x.parts):
             for j, b in enumerate(y.parts):
-                ab = product(a, b)
+                ab = product(np.asarray(a, dtype), np.asarray(b, dtype))
                 terms[i + j] = ab if terms[i + j] is None else terms[i + j] + ab
         for d in range(2 * k - 2, k - 1, -1):
+            terms[d] %= p
             for i, m in enumerate(self.modulus[:k]):
                 if m:
                     terms[d - k + i] = terms[d - k + i] - m * terms[d]
-        return ModArray(t % self.p for t in terms[:k])
+        return ModArray(t % p for t in terms[:k])
 
     def mul(self, x, y):
         """Elementwise products, broadcast as numpy does."""
@@ -219,7 +232,7 @@ class ModArrays:
 
     def matmul(self, x, y):
         """Matrix products of stacks, broadcast as numpy's matmul does."""
-        return self._times(x, y, lambda a, b: a @ b)
+        return self._times(x, y, lambda a, b: a @ b, x.shape[-1])
 
     def bilinear(self, T):
         """``TableArrays.bilinear``, by ``_zw.bilinear``."""
@@ -256,7 +269,7 @@ class ModArrays:
             if p != r:
                 for part in parts:
                     part[[r, p]] = part[[p, r]]
-            pivot = self._scalar([part[r, c] for part in parts])
+            pivot = self._scalar([int(part[r, c]) for part in parts])
             row = self.mul(self.array(pivot.inverse()), a[r])
             rows = np.flatnonzero(self.nonzero(a[:, c]))
             rows = rows[rows != r]

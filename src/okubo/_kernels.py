@@ -17,12 +17,11 @@ same kernels serve GF(p) and GF(p^k) alike.
   derivation analysis, the sl3 model, the twist and the identity checks
   (``_encoded_lie``, ``algebra.IdentityBatch``).
 * The idempotent census has two scans that differ by algorithm, not by
-  backend.  The main pass runs ``census_codes``, a split-grid scan that
-  tabulates half-vector parts of v*v once and filters the grid of candidates
-  coordinate by coordinate.  The census's dual pass runs
-  ``census_codes_reference`` over the tensor re-read from JSON: a
-  brute-force scan that forms the whole image of every candidate.  Both test
-  every one of the q^dim candidates against v*v = v.  Neither solves for a
+  backend.  The main pass runs ``census_codes``, a split-grid scan with a
+  key join on coordinate 0.  The dual pass runs ``census_codes_reference``
+  over the tensor re-read from JSON: a brute-force scan that drops each
+  candidate at its first failed coordinate.  Both use flat tables and
+  test every one of the q^dim candidates against v*v = v.  Neither solves for a
   coordinate from n(v) = 1, although every nonzero idempotent satisfies it:
   the census reports check n(e) = 1, and a scan that assumed it would make
   that check pass by construction.
@@ -259,84 +258,125 @@ def _split_entries(entries, h):
 
 
 def census_codes(field, tensor_entries, dim, chunk=1 << 20):
-    """Codes of all nonzero fixed points of v -> v*v, in increasing order.
+    """Codes of all nonzero fixed points of v -> v*v, in increasing order,
+    for a list of (i, j, k, scalar) tensor entries, by a split-grid scan.
 
-    ``tensor_entries`` is a list of (i, j, k, scalar) sparse tensor entries.
-    Every one of the q^dim candidates is tested against v*v = v by a
-    split-grid scan.  A code is hi * q^(dim-h) + lo with h = dim // 2, and
-    each image coordinate w_k splits into a part that depends on hi alone
-    (products of two hi coordinates), a part that depends on lo alone, and
-    cross terms c v_a v_b with v_a a hi and v_b a lo coordinate.  The first
-    two parts are tabulated once over the q^h and q^(dim-h) half-vectors.
-    The hi x lo grid is then walked in blocks of about ``chunk`` candidates;
-    for k = 0, 1, ... the cross terms of w_k are added and only candidates
-    with w_k = v_k are kept, so each step keeps about 1/q of the survivors.
-    Arithmetic goes through the field's tables, cast to the smallest
-    unsigned type that holds q - 1 (uint8 for q <= 256).
+    A code is hi * q^(dim-h) + lo with h = dim // 2.  Each w_k of w = v*v is
+    alpha_k(hi) + beta_k(lo) + sum_t F_t(hi) G_t(lo): products of two hi
+    coordinates, of two lo ones, and cross terms c v_a v_b, F_t = c v_a of
+    hi, G_t = v_b of lo.  The two parts are tabulated over the half-vectors.
+    Coordinate 0 is a key join: w_0 - v_0 depends on hi only through
+    key(hi) = (alpha_0(hi) - v_0, F_1(hi), ..., F_T(hi)) and on lo only
+    through (beta_0(lo), G_1(lo), ..., G_T(lo)) (for h = 0, where v_0 is a
+    lo coordinate, v_0 moves to the lo key), so two candidates with the same
+    pair of keys pass or fail together.  The mask is computed once for the
+    first hi and lo of each pair of keys (q^3 x q^3 cells on the Okubo
+    tensor, where T = 2), and each block of hi rows is expanded through it
+    by a gather and ``np.flatnonzero``: a candidate survives iff its own
+    coordinate-0 equation holds.  For k = 1, ..., dim - 1 the survivors are
+    filtered by w_k = v_k.  So every candidate is decided by every
+    coordinate's equation, and n(v) = 1 is never used.  Mask table and grid
+    go in blocks of about ``chunk`` cells (whole rows, or pieces of one).
+    Each lookup is one ``np.take`` on a flat q x q table at x * q + y, in
+    the smallest unsigned type that holds q^2 - 1; values in one for q - 1.
     """
     t = tables_for(field)
     q = t.q
-    small = np.min_scalar_type(q - 1)
-    add = t.add.astype(small)
-    mul = t.mul.astype(small)
+    small, index = np.min_scalar_type(q - 1), np.min_scalar_type(q * q - 1)
+    qi = index.type(q)
+    add, mul, neg = (a.astype(small).ravel() for a in (t.add, t.mul, t.neg))
+    add_q = add * qi  # q (x + y), the row of x + y in the next lookup
     h = dim // 2
     nhi, nlo = q**h, q ** (dim - h)
     hd = _digits(q, np.arange(nhi), h).T.astype(small)  # hd[d][hi] = v_d
     ld = _digits(q, np.arange(nlo), dim - h).T.astype(small)  # ld[d - h][lo] = v_d
     pure_hi, pure_lo, cross = _split_entries(_encode_entries(field, tensor_entries), h)
-    part_hi = np.zeros((dim, nhi), dtype=small)
+    part_hi = np.zeros((dim, nhi), dtype=index)  # q alpha_k(hi)
     for i, j, k, c in pure_hi:
-        part_hi[k] = add[part_hi[k], mul[c, mul[hd[i], hd[j]]]]
-    part_lo = np.zeros((dim, nlo), dtype=small)
+        part_hi[k] = add_q.take(part_hi[k] + mul[c * q : (c + 1) * q].take(mul.take(hd[i] * qi + hd[j])))
+    part_lo = np.zeros((dim, nlo), dtype=small)  # beta_k(lo)
     for i, j, k, c in pure_lo:
-        part_lo[k] = add[part_lo[k], mul[c, mul[ld[i - h], ld[j - h]]]]
-    # a cross term c v_a v_b (a < h <= b) as (c v_a over hi, v_b over lo)
-    terms = [[] for _ in range(dim)]
+        part_lo[k] = add.take(part_lo[k] * qi + mul[c * q : (c + 1) * q].take(mul.take(ld[i - h] * qi + ld[j - h])))
+    terms = [[] for _ in range(dim)]  # cross terms c v_a v_b as (q c v_a over hi, v_b over lo)
     for i, j, k, c in cross:
         a, b = (i, j) if i < h else (j, i)
-        terms[k].append((mul[c, hd[a]], ld[b - h]))
+        terms[k].append((mul[c * q : (c + 1) * q].take(hd[a]) * qi, ld[b - h]))
 
     def keep(k, hi, lo):
-        w = add[part_hi[k][hi], part_lo[k][lo]]
+        x = part_hi[k].take(hi) + part_lo[k].take(lo)
         for factor_hi, v_lo in terms[k]:
-            w = add[w, mul[factor_hi[hi], v_lo[lo]]]
-        return w == (hd[k][hi] if k < h else ld[k - h][lo])
+            x = add_q.take(x) + mul.take(factor_hi.take(hi) + v_lo.take(lo))
+        return add.take(x) == (hd[k].take(hi) if k < h else ld[k - h].take(lo))
 
-    # row-major blocks: several whole hi rows, or one row cut into pieces
+    # coordinate 0: the masks of the keys, over the distinct keys of each half
+    alpha = add.take(part_hi[0] + neg.take(hd[0])) if h else part_hi[0]
+    beta = part_lo[0] if h else add.take(part_lo[0] * qi + neg.take(ld[0]))
+    hi_first, hi_key = _keys([alpha] + [factor_hi for factor_hi, _ in terms[0]])
+    lo_first, lo_key = _keys([beta] + [v_lo for _, v_lo in terms[0]])
+    masks = np.empty((len(hi_first), len(lo_first)), dtype=bool)
+    rows, cols = max(1, chunk // len(lo_first)), min(chunk, len(lo_first))
+    for r0 in range(0, len(hi_first), rows):
+        for c0 in range(0, len(lo_first), cols):
+            masks[r0 : r0 + rows, c0 : c0 + cols] = keep(
+                0, hi_first[r0 : r0 + rows, None], lo_first[c0 : c0 + cols])
+    # the grid: each block expanded through its masks, then coordinates 1, 2, ...
+    place = np.min_scalar_type(max(nhi, nlo) - 1)
     rows, cols = max(1, chunk // nlo), min(chunk, nlo)
     found = []
     for r0 in range(0, nhi, rows):
-        hi_block = np.arange(r0, min(r0 + rows, nhi))
+        by_row = masks.take(hi_key[r0 : r0 + rows], axis=0)
         for c0 in range(0, nlo, cols):
-            lo_block = np.arange(c0, min(c0 + cols, nlo))
-            r, c = np.nonzero(keep(0, hi_block[:, None], lo_block[None, :]))
-            hi, lo = hi_block[r], lo_block[c]
+            width = min(cols, nlo - c0)
+            cell = np.flatnonzero(by_row.take(lo_key[c0 : c0 + width], axis=1))
+            lo = (cell % width).astype(place) + c0
+            hi = (cell // width).astype(place) + r0
             for k in range(1, dim):
                 ok = keep(k, hi, lo)
                 hi, lo = hi[ok], lo[ok]
-            found.append(hi * nlo + lo)
+            found.append(hi.astype(np.int64) * nlo + lo)
     codes = np.concatenate(found)
     return codes[codes != 0]
 
 
+def _keys(columns):
+    """(the first row of each distinct key, the key of each row) for the
+    keys given column by column."""
+    _, first, key = np.unique(np.stack(columns, axis=1), axis=0,
+                              return_index=True, return_inverse=True)
+    return first, key.ravel()
+
+
 def census_codes_reference(field, tensor_entries, dim, chunk=1 << 20):
-    """The same codes as ``census_codes``, by a different algorithm: a
-    brute-force scan that expands every candidate code into its digits and
-    forms and compares its whole image v*v, ``chunk`` codes at a time.
+    """The codes of ``census_codes`` by brute force, ``chunk`` candidates at a
+    time: every code is expanded into its digits (uint8 for q <= 256) and
+    v*v is evaluated from the entries one coordinate at a time, a candidate
+    dropped at its first coordinate with (v*v)_k != v_k.  No half-vector
+    parts; lookups are ``np.take`` on flat tables, as in ``census_codes``.
     """
     t = tables_for(field)
     q = t.q
+    small, index = np.min_scalar_type(q - 1), np.min_scalar_type(q * q - 1)
+    add, mul = t.add.astype(small).ravel(), t.mul.astype(small).ravel()
+    qi = index.type(q)
+    by_k = [[] for _ in range(dim)]
+    for i, j, k, c in _encode_entries(field, tensor_entries):
+        by_k[k].append((i, j, mul[c * q : (c + 1) * q]))  # x -> c x
     total = q**dim
-    entries = _encode_entries(field, tensor_entries)
+    code = np.min_scalar_type(total - 1)
     found = []
     for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        v = _digits(q, codes, dim)
-        w = np.zeros_like(v)
-        for i, j, k, c in entries:
-            w[:, k] = t.add[w[:, k], t.mul[c, t.mul[v[:, i], v[:, j]]]]
-        found.append(codes[(w == v).all(axis=1)])
-    codes = np.concatenate(found)
+        codes = np.arange(start, min(start + chunk, total), dtype=code)
+        v = np.empty((dim, len(codes)), dtype=small)
+        for d in range(dim):
+            v[d] = codes // code.type(q ** (dim - 1 - d)) % code.type(q)
+        for k in range(dim):
+            w = np.zeros(len(codes), dtype=small)
+            for i, j, times_c in by_k[k]:
+                w = add.take(w * qi + times_c.take(mul.take(v[i] * qi + v[j])))
+            ok = np.flatnonzero(w == v[k])
+            codes, v = codes[ok], v.take(ok, axis=1)
+        found.append(codes)
+    codes = np.concatenate(found).astype(np.int64)
     return codes[codes != 0]
 
 

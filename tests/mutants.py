@@ -118,4 +118,33 @@ MUTANTS = [
         "replace": "batch.norm(C.reshape(dim * dim, dim))",
         "tests": ["tests/test_idempotents.py::TestTwistOnArrays"],
     },
+    {
+        "name": "the census join key drops one cross-term factor",
+        "file": "_kernels.py",
+        "find": "    hi_first, hi_key = _keys([alpha] + [factor_hi for factor_hi, _ in terms[0]])\n",
+        "replace": "    hi_first, hi_key = _keys([alpha] + [factor_hi for factor_hi, _ in terms[0][1:]])\n",
+        "tests": [
+            "tests/test_kernels.py::test_census_implementations_agree",
+            "tests/test_kernels.py::test_census_kernels_agree_on_okubo_mutants",
+        ],
+    },
+    {
+        "name": "the census join keys read v_0 from the lo half",
+        "file": "_kernels.py",
+        "find": "    alpha = add.take(part_hi[0] + neg.take(hd[0])) if h else part_hi[0]\n"
+                "    beta = part_lo[0] if h else add.take(part_lo[0] * qi + neg.take(ld[0]))\n",
+        "replace": "    alpha = part_hi[0]\n"
+                   "    beta = add.take(part_lo[0] * qi + neg.take(ld[0]))\n",
+        "tests": [
+            "tests/test_kernels.py::test_census_implementations_agree",
+            "tests/test_kernels.py::test_census_kernels_agree_on_okubo_mutants",
+        ],
+    },
+    {
+        "name": "the reference census scan skips its last coordinate",
+        "file": "_kernels.py",
+        "find": "        for k in range(dim):\n",
+        "replace": "        for k in range(dim - 1):\n",
+        "tests": ["tests/test_kernels.py::test_census_implementations_agree"],
+    },
 ]

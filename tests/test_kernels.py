@@ -51,22 +51,53 @@ def test_rref_implementations_agree(spec):
         assert decoded == reps
 
 
-@pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)", "gf(5)"])
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)", "gf(5)", "gf(7)"])
 def test_census_implementations_agree(spec):
-    # the split-grid kernel against the brute-force reference; a hi row holds
-    # q^4 candidates, so the smaller chunks cut rows into pieces
+    # the split-grid kernel against the brute-force reference.  A hi row
+    # holds q^4 candidates and the Okubo tensor has q^3 hi keys and q^3 lo
+    # keys, so chunks below q^4 cut the rows into pieces, q^4 - 1 builds the
+    # key table in blocks of a few rows, and q^3 - 1 cuts each of its rows
     field = field_from_spec(spec)
     algebra = build_split_okubo(field)
     q = field.cardinality
     reference = _kernels.census_codes_reference(field, algebra.entries, algebra.dim)
+    assert reference.dtype == np.int64
     assert np.array_equal(
         reference,
-        _kernels.census_codes_reference(field, algebra.entries, algebra.dim, chunk=1000),
+        _kernels.census_codes_reference(field, algebra.entries, algebra.dim, chunk=q**5 + 1),
     )
-    for chunk in (1 << 20, 2 * q**4 + 1, q**4 - 1, q**4 // 3 + 1):
+    chunks = [1 << 20, q**4 - 1]
+    if q < 7:
+        chunks += [2 * q**4 + 1, q**4 // 3 + 1, q**3 - 1]
+    for chunk in chunks:
         codes = _kernels.census_codes(field, algebra.entries, algebra.dim, chunk=chunk)
         assert codes.dtype == np.int64
         assert np.array_equal(codes, reference), chunk
+
+
+def okubo_mutants(algebra):
+    """The Okubo tensor with each of its entries zeroed in turn, and with
+    each entry in which coordinate 0 occurs, as a factor or as the image
+    coordinate, negated in turn."""
+    entries = algebra.entries
+    for n in range(len(entries)):
+        yield entries[:n] + entries[n + 1:]
+    for n, (i, j, k, c) in enumerate(entries):
+        if 0 in (i, j, k):
+            yield entries[:n] + [(i, j, k, -c)] + entries[n + 1:]
+
+
+@pytest.mark.parametrize("spec", ["gf(3)", "gf(5)"])
+def test_census_kernels_agree_on_okubo_mutants(spec):
+    algebra = build_split_okubo(field_from_spec(spec))
+    mutants = list(okubo_mutants(algebra))
+    assert len(mutants) == 32 + 11
+    changed = 0
+    for entries in mutants:
+        codes = _kernels.census_codes(algebra.field, entries, 8)
+        assert np.array_equal(codes, _kernels.census_codes_reference(algebra.field, entries, 8))
+        changed += not np.array_equal(codes, _kernels.census_codes(algebra.field, algebra.entries, 8))
+    assert changed > len(mutants) // 2
 
 
 @given(data=st.data())
@@ -75,7 +106,7 @@ def test_census_kernels_agree_on_random_tensors(data):
     spec = data.draw(st.sampled_from(["gf(2)", "gf(3)", "gf(2^2;t^2+t+1)"]))
     field = field_from_spec(spec)
     q = field.cardinality
-    dim = data.draw(st.integers(3, 6))
+    dim = data.draw(st.integers(1, 6))
     index = st.integers(0, dim - 1)
     raw = data.draw(
         st.lists(st.tuples(index, index, index, st.integers(1, q - 1)),

@@ -218,3 +218,29 @@ def test_bilinear_blocks_near_2_31_and_empty():
     assert ar.bilinear(T)(X[:0], Y[:0]).shape == (0, 2)
     assert ar.bilinear(T[:, :, :0])(X, Y).shape == (rows, 0)
     assert ar.decode(ar.matmul(X[:2, :0], Y[:0, :3])) == [[QW.zero] * 3] * 2
+
+
+# ---------------------------------------------------------------------------
+# the int64 rule of ModArrays: products on int64 when k max(K, 1) (p-1)^2 < 2^63
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, K, machine", [
+    (2**31 - 1, 2, True),  # 2 (p-1)^2 = 2^63 - 2^34 + 8
+    (2**31 - 1, 3, False),
+    (2**32 + 15, 1, False),  # (p-1)^2 > 2^63 already
+])
+def test_mod_products_at_the_int64_bound(p, K, machine):
+    field = field_from_spec(f"gf({p})")
+    ar = ModArrays(field)
+    rng = random.Random(K)
+    A = np.array([[p - rng.randrange(1, 2**10) for _ in range(K)] for _ in range(3)], dtype=object)
+    B = np.array([[p - rng.randrange(1, 2**10) for _ in range(2)] for _ in range(K)], dtype=object)
+    assert wraps(lambda a, b: (a @ b,), A.astype(np.int64), B.astype(np.int64)) is not machine
+    x, y = _encoded_lie.ModArray([A]), _encoded_lie.ModArray([B])
+    for got, want in [(ar.matmul(x, y), (A @ B) % p), (ar.mul(x[:, :1], y[:1]), (A[:, :1] * B[:1]) % p)]:
+        assert got.parts[0].tolist() == want.tolist()
+    assert ar.matmul(x, y).parts[0].dtype == (np.int64 if machine else object)
+    rows = [[field.from_int(int(c)) for c in row] for row in A]
+    cols = [[field.from_int(int(c)) for c in row] for row in B]
+    assert ar.decode(ar.matmul(x, y)) == [list(r) for r in (Matrix(field, rows) @ Matrix(field, cols)).rows]
