@@ -202,16 +202,13 @@ class ModArrays:
         coordinate arrays, sums of K products each: a polynomial in t of
         degree < 2k - 1, reduced by t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1)).
 
-        It runs on int64 when k max(K, 1) (p-1)^2 < 2^63, else on Python
-        ints.  With coordinates in [0, p), a product of two coordinate
-        arrays has entries and partial sums in [0, K (p-1)^2]; the
-        coefficient of t^d sums at most k of them, so lies in
-        [0, k K (p-1)^2].  The reduction runs from d = 2k - 2 down to k,
-        takes the coefficient of t^d mod p first, and subtracts m_i times it,
-        at most (p-1)^2, from the coefficient of t^(d-k+i); a coefficient
-        receives at most k - 1 such subtractions, so it stays in
-        [-(k-1) (p-1)^2, k K (p-1)^2].  Every value is thus at most
-        k max(K, 1) (p-1)^2 in absolute value, and int64 cannot wrap."""
+        On int64 when k max(K, 1) (p-1)^2 < 2^63, else on Python ints: with
+        coordinates in [0, p), the coefficient of t^d sums at most k products
+        of coordinate arrays, each with partial sums in [0, K (p-1)^2].  The
+        reduction, from d = 2k - 2 down to k, takes that coefficient mod p
+        and subtracts m_i times it, at most (p-1)^2, from the coefficient of
+        t^(d-k+i), at most k - 1 times for each.  So every value lies in
+        [-(k-1) (p-1)^2, k K (p-1)^2], and int64 cannot wrap."""
         k, p = self.k, self.p
         dtype = np.int64 if k * max(K, 1) * (p - 1) ** 2 < 1 << 63 else object
         terms = [None] * (2 * k - 1)

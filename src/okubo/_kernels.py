@@ -16,15 +16,12 @@ same kernels serve GF(p) and GF(p^k) alike.
   (``_digit_product``).  They form every product of ``TableArrays``: the
   derivation analysis, the sl3 model, the twist and the identity checks
   (``_encoded_lie``, ``algebra.IdentityBatch``).
-* The idempotent census has two scans that differ by algorithm, not by
-  backend.  The main pass runs ``census_codes``, a split-grid scan with a
-  key join on coordinate 0.  The dual pass runs ``census_codes_reference``
-  over the tensor re-read from JSON: a brute-force scan that drops each
-  candidate at its first failed coordinate.  Both use flat tables and
-  test every one of the q^dim candidates against v*v = v.  Neither solves for a
-  coordinate from n(v) = 1, although every nonzero idempotent satisfies it:
-  the census reports check n(e) = 1, and a scan that assumed it would make
-  that check pass by construction.
+* The idempotent census has two scans that differ by algorithm: the main
+  pass ``census_codes``, a split-grid scan with a key join on coordinate 0,
+  and the dual pass ``census_codes_reference``, a brute-force scan that
+  drops a candidate at its first failed coordinate.  Both test all q^dim
+  candidates against v*v = v.  Neither assumes n(v) = 1, which the census
+  reports check: a scan that assumed it would pass that check by design.
 * ``batch_minpoly_degrees`` gives the minimal-polynomial degrees of
   stacks of 3x3 matrices for the full-field census.
 """
@@ -231,20 +228,13 @@ def _digit_product(t, D, M):
 # ---------------------------------------------------------------------------
 # idempotent census scan
 # ---------------------------------------------------------------------------
-#
-# A candidate v is numbered by its code sum_d v[d] q^(dim-1-d): v[0] is the
-# most significant digit, so increasing codes enumerate coordinate tuples
-# lexicographically.
 
 
-def _digits(q, codes, width):
-    """Base-q digits of each code, most significant first: an (N, width) array."""
-    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (np.asarray(codes, dtype=np.int64)[:, None] // powers[None, :]) % q
-
-
-def _encode_entries(field, tensor_entries):
-    return [(i, j, k, field.element_index(c)) for i, j, k, c in tensor_entries]
+def census_digits(field, codes, dim):
+    """Encoded coordinates of census codes, an (N, dim) int64 array: the code
+    of v is sum_d v[d] q^(dim-1-d), so codes order the v lexicographically."""
+    powers = field.cardinality ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[:, None] // powers % field.cardinality
 
 
 def _split_entries(entries, h):
@@ -261,40 +251,33 @@ def census_codes(field, tensor_entries, dim, chunk=1 << 20):
     """Codes of all nonzero fixed points of v -> v*v, in increasing order,
     for a list of (i, j, k, scalar) tensor entries, by a split-grid scan.
 
-    A code is hi * q^(dim-h) + lo with h = dim // 2.  Each w_k of w = v*v is
+    A code is hi * q^(dim-h) + lo with h = dim // 2; each w_k of w = v*v is
     alpha_k(hi) + beta_k(lo) + sum_t F_t(hi) G_t(lo): products of two hi
-    coordinates, of two lo ones, and cross terms c v_a v_b, F_t = c v_a of
-    hi, G_t = v_b of lo.  The two parts are tabulated over the half-vectors.
-    Coordinate 0 is a key join: w_0 - v_0 depends on hi only through
-    key(hi) = (alpha_0(hi) - v_0, F_1(hi), ..., F_T(hi)) and on lo only
-    through (beta_0(lo), G_1(lo), ..., G_T(lo)) (for h = 0, where v_0 is a
-    lo coordinate, v_0 moves to the lo key), so two candidates with the same
-    pair of keys pass or fail together.  The mask is computed once for the
-    first hi and lo of each pair of keys (q^3 x q^3 cells on the Okubo
-    tensor, where T = 2), and each block of hi rows is expanded through it
-    by a gather and ``np.flatnonzero``: a candidate survives iff its own
-    coordinate-0 equation holds.  For k = 1, ..., dim - 1 the survivors are
-    filtered by w_k = v_k.  So every candidate is decided by every
-    coordinate's equation, and n(v) = 1 is never used.  Mask table and grid
-    go in blocks of about ``chunk`` cells (whole rows, or pieces of one).
-    Each lookup is one ``np.take`` on a flat q x q table at x * q + y, in
-    the smallest unsigned type that holds q^2 - 1; values in one for q - 1.
+    coordinates, of two lo ones, and cross terms c v_a v_b = F_t G_t.  So
+    whether w_0 = v_0 depends on hi only through its key (alpha_0 - v_0, F_1,
+    ..., F_T) and on lo through (beta_0, G_1, ..., G_T) (v_0 moves to lo if
+    h = 0).  The mask of each pair of distinct keys is computed once (q^3 x
+    q^3 on the Okubo tensor), each block of about ``chunk`` candidates is
+    expanded through it, and w_k = v_k for k = 1, ..., dim - 1 filters the
+    survivors: every candidate meets every coordinate's equation, and
+    n(v) = 1 is never used.  Lookups are ``np.take`` on flat tables at
+    x q + y, in the smallest unsigned type that holds q^2 - 1.
     """
     t = tables_for(field)
     q = t.q
-    small, index = np.min_scalar_type(q - 1), np.min_scalar_type(q * q - 1)
-    qi = index.type(q)
-    add, mul, neg = (a.astype(small).ravel() for a in (t.add, t.mul, t.neg))
+    qi = np.min_scalar_type(q * q - 1).type(q)  # q in the type of the flat indices x q + y
+    add, mul, neg = (a.astype(qi.dtype).ravel() for a in (t.add, t.mul, t.neg))
     add_q = add * qi  # q (x + y), the row of x + y in the next lookup
     h = dim // 2
     nhi, nlo = q**h, q ** (dim - h)
-    hd = _digits(q, np.arange(nhi), h).T.astype(small)  # hd[d][hi] = v_d
-    ld = _digits(q, np.arange(nlo), dim - h).T.astype(small)  # ld[d - h][lo] = v_d
-    pure_hi, pure_lo, cross = _split_entries(_encode_entries(field, tensor_entries), h)
-    part_hi = np.zeros((dim, nhi), dtype=index)  # q alpha_k(hi)
+    hd = census_digits(field, np.arange(nhi), h).T.astype(qi.dtype)  # hd[d][hi] = v_d
+    ld = census_digits(field, np.arange(nlo), dim - h).T.astype(qi.dtype)  # ld[d - h][lo] = v_d
+    encoded = [(i, j, k, field.element_index(c)) for i, j, k, c in tensor_entries]
+    pure_hi, pure_lo, cross = _split_entries(encoded, h)
+    part_hi = np.zeros((dim, nhi), dtype=qi.dtype)  # q alpha_k(hi)
     for i, j, k, c in pure_hi:
         part_hi[k] = add_q.take(part_hi[k] + mul[c * q : (c + 1) * q].take(mul.take(hd[i] * qi + hd[j])))
-    part_lo = np.zeros((dim, nlo), dtype=small)  # beta_k(lo)
+    part_lo = np.zeros((dim, nlo), dtype=qi.dtype)  # beta_k(lo)
     for i, j, k, c in pure_lo:
         part_lo[k] = add.take(part_lo[k] * qi + mul[c * q : (c + 1) * q].take(mul.take(ld[i - h] * qi + ld[j - h])))
     terms = [[] for _ in range(dim)]  # cross terms c v_a v_b as (q c v_a over hi, v_b over lo)
@@ -308,69 +291,56 @@ def census_codes(field, tensor_entries, dim, chunk=1 << 20):
             x = add_q.take(x) + mul.take(factor_hi.take(hi) + v_lo.take(lo))
         return add.take(x) == (hd[k].take(hi) if k < h else ld[k - h].take(lo))
 
-    # coordinate 0: the masks of the keys, over the distinct keys of each half
+    # coordinate 0: the first row and the key of each row of each half, the masks of the keys
     alpha = add.take(part_hi[0] + neg.take(hd[0])) if h else part_hi[0]
     beta = part_lo[0] if h else add.take(part_lo[0] * qi + neg.take(ld[0]))
-    hi_first, hi_key = _keys([alpha] + [factor_hi for factor_hi, _ in terms[0]])
-    lo_first, lo_key = _keys([beta] + [v_lo for _, v_lo in terms[0]])
+    (_, hi_first, hi_key), (_, lo_first, lo_key) = (
+        np.unique(np.stack(key, axis=1), axis=0, return_index=True, return_inverse=True)
+        for key in ([alpha] + [f for f, _ in terms[0]], [beta] + [g for _, g in terms[0]]))
     masks = np.empty((len(hi_first), len(lo_first)), dtype=bool)
-    rows, cols = max(1, chunk // len(lo_first)), min(chunk, len(lo_first))
-    for r0 in range(0, len(hi_first), rows):
-        for c0 in range(0, len(lo_first), cols):
-            masks[r0 : r0 + rows, c0 : c0 + cols] = keep(
-                0, hi_first[r0 : r0 + rows, None], lo_first[c0 : c0 + cols])
-    # the grid: each block expanded through its masks, then coordinates 1, 2, ...
+    for r, c in _blocks(*masks.shape, chunk):
+        masks[r, c] = keep(0, hi_first[r, None], lo_first[c])
     place = np.min_scalar_type(max(nhi, nlo) - 1)
-    rows, cols = max(1, chunk // nlo), min(chunk, nlo)
     found = []
-    for r0 in range(0, nhi, rows):
-        by_row = masks.take(hi_key[r0 : r0 + rows], axis=0)
-        for c0 in range(0, nlo, cols):
-            width = min(cols, nlo - c0)
-            cell = np.flatnonzero(by_row.take(lo_key[c0 : c0 + width], axis=1))
-            lo = (cell % width).astype(place) + c0
-            hi = (cell // width).astype(place) + r0
-            for k in range(1, dim):
-                ok = keep(k, hi, lo)
-                hi, lo = hi[ok], lo[ok]
-            found.append(hi.astype(np.int64) * nlo + lo)
+    for r, c in _blocks(nhi, nlo, chunk):
+        cell = np.flatnonzero(masks.take(hi_key[r].ravel(), axis=0).take(lo_key[c].ravel(), axis=1))
+        hi = (cell // (c.stop - c.start) + r.start).astype(place)
+        lo = (cell % (c.stop - c.start) + c.start).astype(place)
+        for k in range(1, dim):
+            ok = keep(k, hi, lo)
+            hi, lo = hi[ok], lo[ok]
+        found.append(hi.astype(np.int64) * nlo + lo)
     codes = np.concatenate(found)
     return codes[codes != 0]
 
 
-def _keys(columns):
-    """(the first row of each distinct key, the key of each row) for the
-    keys given column by column."""
-    _, first, key = np.unique(np.stack(columns, axis=1), axis=0,
-                              return_index=True, return_inverse=True)
-    return first, key.ravel()
+def _blocks(n, m, chunk):
+    """Row-major blocks of about ``chunk`` cells of an n x m grid, as slice pairs."""
+    rows, cols = max(1, chunk // m), min(chunk, m)
+    return [(slice(r, min(r + rows, n)), slice(c, min(c + cols, m)))
+            for r in range(0, n, rows) for c in range(0, m, cols)]
 
 
 def census_codes_reference(field, tensor_entries, dim, chunk=1 << 20):
     """The codes of ``census_codes`` by brute force, ``chunk`` candidates at a
-    time: every code is expanded into its digits (uint8 for q <= 256) and
-    v*v is evaluated from the entries one coordinate at a time, a candidate
-    dropped at its first coordinate with (v*v)_k != v_k.  No half-vector
-    parts; lookups are ``np.take`` on flat tables, as in ``census_codes``.
-    """
+    time: each code is expanded into its digits and v*v is evaluated from
+    the entries on the same flat tables, one coordinate at a time, dropping
+    a candidate at its first coordinate with (v*v)_k != v_k."""
     t = tables_for(field)
     q = t.q
-    small, index = np.min_scalar_type(q - 1), np.min_scalar_type(q * q - 1)
-    add, mul = t.add.astype(small).ravel(), t.mul.astype(small).ravel()
-    qi = index.type(q)
-    by_k = [[] for _ in range(dim)]
-    for i, j, k, c in _encode_entries(field, tensor_entries):
-        by_k[k].append((i, j, mul[c * q : (c + 1) * q]))  # x -> c x
-    total = q**dim
-    code = np.min_scalar_type(total - 1)
+    qi = np.min_scalar_type(q * q - 1).type(q)
+    add, mul = t.add.astype(qi.dtype).ravel(), t.mul.astype(qi.dtype).ravel()
+    by_k = [[(i, j, mul.reshape(q, q)[field.element_index(c)]) for i, j, e, c in tensor_entries if e == k]
+            for k in range(dim)]  # (i, j, the map x -> c x) for each entry of w_k
+    code = np.min_scalar_type(q**dim - 1)
     found = []
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=code)
-        v = np.empty((dim, len(codes)), dtype=small)
+    for start in range(0, q**dim, chunk):
+        codes = np.arange(start, min(start + chunk, q**dim), dtype=code)
+        v = np.empty((dim, len(codes)), dtype=qi.dtype)
         for d in range(dim):
             v[d] = codes // code.type(q ** (dim - 1 - d)) % code.type(q)
         for k in range(dim):
-            w = np.zeros(len(codes), dtype=small)
+            w = np.zeros(len(codes), dtype=qi.dtype)
             for i, j, times_c in by_k[k]:
                 w = add.take(w * qi + times_c.take(mul.take(v[i] * qi + v[j])))
             ok = np.flatnonzero(w == v[k])
@@ -378,16 +348,6 @@ def census_codes_reference(field, tensor_entries, dim, chunk=1 << 20):
         found.append(codes)
     codes = np.concatenate(found).astype(np.int64)
     return codes[codes != 0]
-
-
-def census_digits(field, codes, dim):
-    """Encoded coordinates of census codes: an (N, dim) int64 array."""
-    return _digits(field.cardinality, codes, dim)
-
-
-def decode_census(field, codes, dim):
-    """Turn census codes back into tuples of Scalars, in scan order."""
-    return decode_rows(field, census_digits(field, codes, dim))
 
 
 # ---------------------------------------------------------------------------

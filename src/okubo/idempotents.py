@@ -87,8 +87,8 @@ def idempotent_codes(algebra, budget=10**8):
 
 
 def _decode(algebra, codes):
-    coords = _kernels.decode_census(algebra.field, codes, algebra.dim)
-    return [algebra.element(c) for c in coords]
+    coords = _kernels.census_digits(algebra.field, codes, algebra.dim)
+    return [algebra.element(c) for c in _kernels.decode_rows(algebra.field, coords)]
 
 
 def enumerate_idempotents(algebra, budget=10**8):

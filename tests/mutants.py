@@ -121,8 +121,8 @@ MUTANTS = [
     {
         "name": "the census join key drops one cross-term factor",
         "file": "_kernels.py",
-        "find": "    hi_first, hi_key = _keys([alpha] + [factor_hi for factor_hi, _ in terms[0]])\n",
-        "replace": "    hi_first, hi_key = _keys([alpha] + [factor_hi for factor_hi, _ in terms[0][1:]])\n",
+        "find": "        for key in ([alpha] + [f for f, _ in terms[0]], [beta] + [g for _, g in terms[0]]))\n",
+        "replace": "        for key in ([alpha] + [f for f, _ in terms[0][1:]], [beta] + [g for _, g in terms[0]]))\n",
         "tests": [
             "tests/test_kernels.py::test_census_implementations_agree",
             "tests/test_kernels.py::test_census_kernels_agree_on_okubo_mutants",

@@ -118,6 +118,33 @@ def test_census_kernels_agree_on_random_tensors(data):
     assert np.array_equal(codes, _kernels.census_codes_reference(field, entries, dim))
 
 
+@pytest.mark.parametrize("spec, dim", [("gf(17)", 3), ("gf(251)", 2)])
+def test_census_kernels_past_one_byte_indices(spec, dim):
+    # for q >= 17 a flat index x q + y exceeds 255, so the scans' tables are
+    # uint16: both scans against a loop over every candidate on Python ints
+    field = field_from_spec(spec)
+    q = field.cardinality
+    assert np.min_scalar_type(q * q - 1) == np.uint16
+    rng = random.Random(q)
+    raw = {(i, i, i): 1 for i in range(dim)}
+    raw.update({(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)): rng.randrange(1, q)
+                for _ in range(2 * dim)})
+    add, mul, _ = _kernels.tables_for(field).lists
+    expected = []
+    for code in range(1, q**dim):
+        v = [code // q ** (dim - 1 - d) % q for d in range(dim)]
+        w = [0] * dim
+        for (i, j, k), c in raw.items():
+            w[k] = add[w[k]][mul[c][mul[v[i]][v[j]]]]
+        if w == v:
+            expected.append(code)
+    assert expected
+    entries = [(i, j, k, field.element_from_index(c)) for (i, j, k), c in raw.items()]
+    for scan in (_kernels.census_codes, _kernels.census_codes_reference):
+        assert scan(field, entries, dim).tolist() == expected
+        assert scan(field, entries, dim, chunk=q + 1).tolist() == expected
+
+
 def test_census_chunking_consistent(gf3, okubo_gf3):
     full = _kernels.census_codes(gf3, okubo_gf3.entries, 8)
     small = _kernels.census_codes(gf3, okubo_gf3.entries, 8, chunk=77)
@@ -127,7 +154,7 @@ def test_census_chunking_consistent(gf3, okubo_gf3):
 def test_census_codes_are_sorted_lexicographically(gf3, okubo_gf3):
     codes = _kernels.census_codes(gf3, okubo_gf3.entries, 8)
     assert (np.diff(codes) > 0).all()
-    coords = _kernels.decode_census(gf3, codes, 8)
+    coords = _kernels.decode_rows(gf3, _kernels.census_digits(gf3, codes, 8))
     keys = [tuple(gf3.element_index(c) for c in row) for row in coords]
     assert keys == sorted(keys)
 
