@@ -23,6 +23,8 @@ from .models import (
     distinguished_idempotent,
     model_isomorphism_char_not3,
 )
+from .idempotents import petersson_twist
+from .liealg import conjugation_automorphism
 
 __version__ = "0.1.0"
 
@@ -41,5 +43,7 @@ __all__ = [
     "build_char3_model",
     "model_isomorphism_char_not3",
     "distinguished_idempotent",
+    "petersson_twist",
+    "conjugation_automorphism",
     "__version__",
 ]

@@ -15,14 +15,17 @@
 All three have the same operations: ``array``, ``decode``, ``add``,
 ``sub``, ``neg``, ``mul``, ``matmul``, ``nonzero``, ``equal`` and ``rref``,
 and for the identity checks of ``algebra.IdentityBatch``, ``random`` (the
-elements ``random_element`` draws) and ``bilinear`` (the bilinear map of a
-tensor on rows), and ``concatenate``.  Everything here is written once on
-them, apart from the grading (characteristic 3, whose fields all have
-tables).  The two finite backends also give the MeatAxe its scalar
-arithmetic (``coefficients``, a ``polys`` coefficient object, with
-``entries`` and ``from_entries``).  A linear map is a square array, a
+elements the field's ``random_scalar`` draws, entry by entry) and
+``bilinear`` (the bilinear map of a tensor on rows), and ``concatenate``.
+Everything here is written once on them, apart from the grading
+(characteristic 3, whose fields all have tables).  The two finite backends
+also give the MeatAxe the scalar arithmetic of its characteristic
+polynomials (``coefficients``, a ``polys`` coefficient object, with
+``entries`` and ``from_entries``); the coefficients offer no nullspace, so
+every kernel is taken on the arrays.  A linear map is a square array, a
 family of maps an (n, d, d) stack, a subspace its canonical RREF basis
-(``span``, ``nullspace``), and every product of maps is one ``matmul``.
+(``span``, and ``nullspace``, the one nullspace of the array backends), and
+every product of maps is one ``matmul``.
 The functions are ``inner_span`` (with the Leibniz check of each ad*_u),
 ``lie_close``,
 ``EncodedLie`` (antisymmetry and Jacobi are checked on construction),
@@ -513,7 +516,7 @@ def grading(ar, algebra, C, der):
 
     dims, parts = {}, []
     for g in ((gi, gj) for gi in range(3) for gj in range(3)):
-        coeffs = _kernels.nullspace_encoded(ar.field, der[:, off_degree(g)].T)
+        coeffs = nullspace(ar, der[:, off_degree(g)].T)
         if len(coeffs):
             dims[g] = len(coeffs)
             parts.append(ar.matmul(coeffs, der))
@@ -602,7 +605,8 @@ def is_simple(lie, seed, max_trials):
     polynomial, and apply Norton's criterion on an irreducible factor of
     minimal nullity.  f(theta^T) is f(theta)^T, the powers of theta serve
     every factor of one trial, and a repeated factor repeats the same kernel
-    and spins, so it is tested once.
+    and spins, so it is tested once.  Both kernels are ``nullspace`` on the
+    arrays.
     """
     ar, n = lie.ar, lie.dim
     F = ar.coefficients
@@ -627,14 +631,14 @@ def is_simple(lie, seed, max_trials):
         for f in factors:
             f_of_theta = functools.reduce(
                 ar.add, [ar.mul(ar.from_entries(c), power) for c, power in zip(f, powers)])
-            ker = F.nullspace(ar.entries(f_of_theta))
-            if not ker:
+            ker = nullspace(ar, f_of_theta)
+            if not len(ker):
                 continue
-            if spin_dim(ar, ar.from_entries(ker[0]), gens, words) != n:
+            if spin_dim(ar, ker[0], gens, words) != n:
                 return False
             if len(ker) == polys.degree(f):
-                ker_t = F.nullspace(ar.entries(f_of_theta.T))
-                if spin_dim(ar, ar.from_entries(ker_t[0]), gens_t, words_t) != n:
+                ker_t = nullspace(ar, f_of_theta.T)
+                if spin_dim(ar, ker_t[0], gens_t, words_t) != n:
                     return False
                 return True
     raise Inconclusive(

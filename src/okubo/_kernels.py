@@ -6,8 +6,8 @@ same kernels serve GF(p) and GF(p^k) alike.
 
 * Row reduction is one vectorized numpy loop over the columns; the tests
   compare it with the generic row reduction on scalar representations in
-  ``linalg``.  Spans, nullspaces and coordinates built on it return the
-  canonical RREF bases that ``linalg.Subspace`` stores.
+  ``linalg``.  Spans and nullspaces are built on it once for every array
+  backend, in ``_encoded_lie``.
 * ``batch_matmul`` multiplies stacks of encoded matrices with numpy's
   broadcasting, and ``batch_multiply`` evaluates the bilinear map of an
   encoded tensor (``bilinear_digits``) on rows: a product of algebra
@@ -139,24 +139,6 @@ def rref_encoded(field, arr):
             a[rows] = t.add[a[rows], t.neg[prod]]
         pivots.append(c)
     return a, tuple(pivots)
-
-
-def span_encoded(field, arr):
-    """The RREF basis (rank, n) of the row span of an encoded (m, n) array."""
-    red, pivots = rref_encoded(field, arr)
-    return red[: len(pivots)]
-
-
-def nullspace_encoded(field, arr):
-    """The RREF basis of {v : arr v = 0}, the rows ``linalg.nullspace`` gives."""
-    n = arr.shape[1]
-    red, pivots = rref_encoded(field, arr)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if pivots:
-        basis[:, list(pivots)] = tables_for(field).neg[red[: len(pivots)][:, free].T]
-    return span_encoded(field, basis)
 
 
 def batch_matmul(field, A, B):

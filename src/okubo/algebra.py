@@ -25,10 +25,10 @@ three identities stay as a second route.  Every check, the basis ones
 included, runs on one ``IdentityBatch`` on the field's exact array backend
 (``_encoded_lie.arrays_for``): the product, the norm and its polar form are
 each one ``bilinear`` map of the backend, and the trial elements come from
-its ``random``, which draws what ``random_element`` draws, from the same
-randrange calls in the same order.  The element path in the tests
-(``scalar_reference.ObjectBatch``) is the oracle the reports are compared
-with.
+its ``random``, which draws the elements of the field's ``random_scalar``
+coordinate by coordinate, from the same randrange calls in the same order.
+The element path in the tests (``scalar_reference.ObjectBatch``, with its
+``random_element``) is the oracle the reports are compared with.
 """
 
 from __future__ import annotations
@@ -193,9 +193,6 @@ class StructureConstantAlgebra:
 
     def zero(self):
         return AlgebraElement(self, [self.field.zero] * self.dim)
-
-    def random_element(self, rng):
-        return AlgebraElement(self, [self.field.random_scalar(rng) for _ in range(self.dim)])
 
     # -- multiplication and the form --
 
@@ -481,7 +478,8 @@ class IdentityBatch:
     def draw(self, rng, count, arity):
         """``arity`` batches of ``count`` random elements, drawn in turn from
         one stream: x, y, z of the first trial, then of the second, ...; the
-        elements ``random_element`` draws, from the same randrange calls."""
+        elements of ``random_scalar`` drawn coordinate by coordinate, from
+        the same randrange calls."""
         draws = self.ar.random(rng, (count, arity, self.algebra.dim))
         return tuple(draws[:, n] for n in range(arity))
 

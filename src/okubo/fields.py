@@ -310,7 +310,9 @@ class ExtensionField(Field):
         lead_inv = pow(modulus[-1], -1, p)
         self.modulus = tuple(c * lead_inv % p for c in modulus)
         prime = GF(p)
-        if not polys.is_irreducible([prime.from_int(c) for c in self.modulus], prime):
+        monic = [prime.from_int(c) for c in self.modulus]
+        # irreducible: one factor, the modulus itself, of full degree
+        if polys.factor(monic, polys.Coefficients(prime)) != [monic]:
             raise ReducibleModulus(
                 f"{self._poly_str(self.modulus)} is reducible over gf({p})"
             )
@@ -322,7 +324,7 @@ class ExtensionField(Field):
         self._one = Scalar(self, tuple(one))
 
     # -- multiplication of residue lists mod (p, modulus); the modulus is
-    # checked irreducible by the shared polys.is_irreducible --
+    # checked irreducible by polys.factor --
 
     def _pmul(self, a, b):
         p = self.p

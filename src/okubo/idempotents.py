@@ -16,8 +16,8 @@ induces
   alternative laws are proved by a complete certificate and sampled by
   random trials on the same batch layer as ``verify``.
 
-Each idempotent is verified in one pass: ``tau_map``, ``classify_idempotent``
-and ``nonclassified_report`` share one check of the whole tau contract.
+Each idempotent is verified in one pass: ``tau_map`` and
+``classify_idempotent`` share one check of the whole tau contract.
 
 In characteristic 3 the pair (dim of the centralizer, rank of the norm on
 it) takes exactly three values, giving the quaternionic / quadratic /
@@ -26,7 +26,7 @@ into a bucket.  The exhaustive census runs through the integer-encoded
 split-grid scan and is cross-checked by a second, brute-force pass over the
 algebra's serialized tensor.  The raw full-field census checks n(f) = 1 and,
 away from characteristic 3, the minimal-polynomial degree of every
-idempotent, in batches on the encoded coordinates.
+idempotent, in batches on the encoded coordinates (``minpoly_degrees``).
 """
 
 from __future__ import annotations
@@ -91,15 +91,6 @@ def _decode(algebra, codes):
     return [algebra.element(c) for c in _kernels.decode_rows(algebra.field, coords)]
 
 
-def enumerate_idempotents(algebra, budget=10**8):
-    """All nonzero v with v*v = v over a finite field, exhaustively.
-
-    Enumeration is lexicographic on coordinate tuples (in the field's
-    canonical element order) with the zero vector skipped.
-    """
-    return _decode(algebra, idempotent_codes(algebra, budget))
-
-
 def find_idempotents_slice_search(algebra, count, seed=0, free=3, max_slices=20000):
     """Distinct idempotents found by brute-forcing random affine slices.
 
@@ -139,12 +130,8 @@ def find_idempotents_slice_search(algebra, count, seed=0, free=3, max_slices=200
 # ---------------------------------------------------------------------------
 
 
-def centralizer(algebra, f):
-    """Solution space of x*f = f*x."""
-    return _centralizer(algebra, f, algebra.left_mult_matrix(f))
-
-
 def _centralizer(algebra, f, lf):
+    """Solution space of x*f = f*x, given L_f."""
     return nullspace(algebra.right_mult_matrix(f) - lf)
 
 
@@ -354,7 +341,6 @@ def norm_rank_on(subspace, algebra):
 QUATERNIONIC = "quaternionic"
 QUADRATIC = "quadratic"
 SINGULAR = "singular"
-NONCLASSIFIED = "nonclassified-char-not-3"
 
 _CLASS_BY_SIGNATURE = {
     (6, 4): QUATERNIONIC,
@@ -371,10 +357,9 @@ class IdempotentReport:
     tau_fixed_dim: int
     norm_rank: int
     type_tag: str
-    minpoly_degree: int | None = None
 
     def summary(self):
-        out = {
+        return {
             "element": [str(c) for c in self.element.coords],
             "norm": str(self.norm_value),
             "centralizer_dim": self.centralizer_dim,
@@ -382,17 +367,21 @@ class IdempotentReport:
             "norm_rank": self.norm_rank,
             "type": self.type_tag,
         }
-        if self.minpoly_degree is not None:
-            out["minpoly_degree"] = self.minpoly_degree
-        return out
 
 
-def _idempotent_report(algebra, f, tag_of):
-    """The report of an idempotent from one verified tau/centralizer pass;
-    ``tag_of(f, centralizer_dim, norm_rank)`` gives its type tag."""
+def classify_idempotent(algebra, f):
+    """Assign the characteristic-3 type from (centralizer dim, norm rank),
+    after one verified tau/centralizer pass.
+
+    Raises ClassificationAnomaly for any pair outside the three known cases.
+    """
+    if algebra.field.characteristic != 3:
+        raise BadCharacteristic("the idempotent taxonomy is characteristic 3 only")
     _, cent = _verified_tau(algebra, f)
     rank = norm_rank_on(cent, algebra)
-    tag = tag_of(f, cent.dim, rank)
+    tag = _CLASS_BY_SIGNATURE.get((cent.dim, rank))
+    if tag is None:
+        raise ClassificationAnomaly([str(c) for c in f.coords], cent.dim, rank)
     return IdempotentReport(
         element=f,
         norm_value=algebra.norm(f),
@@ -403,45 +392,10 @@ def _idempotent_report(algebra, f, tag_of):
     )
 
 
-def _signature_tag(f, centralizer_dim, rank):
-    tag = _CLASS_BY_SIGNATURE.get((centralizer_dim, rank))
-    if tag is None:
-        raise ClassificationAnomaly([str(c) for c in f.coords], centralizer_dim, rank)
-    return tag
-
-
-def classify_idempotent(algebra, f):
-    """Assign the characteristic-3 type from (centralizer dim, norm rank).
-
-    Raises ClassificationAnomaly for any pair outside the three known cases.
-    """
-    if algebra.field.characteristic != 3:
-        raise BadCharacteristic("the idempotent taxonomy is characteristic 3 only")
-    return _idempotent_report(algebra, f, _signature_tag)
-
-
-def nonclassified_report(algebra, f, model=None):
-    """The characteristic != 3 report: tagged, with the minimal-polynomial degree."""
-    report = _idempotent_report(algebra, f, lambda *_: NONCLASSIFIED)
-    if model is not None:
-        report.minpoly_degree = minpoly_check_char_not3(model, model.algebra.element(f.coords))
-    return report
-
-
-def minpoly_check_char_not3(model, f):
-    """Degree of the minimal polynomial of an idempotent of the matrix model,
-    viewed as a 3x3 matrix."""
-    if model.field.characteristic == 3:
-        raise BadCharacteristic("minimal-polynomial check applies when char != 3")
-    _require_idempotent(model.algebra, f)
-    m = model.matrix_of(f)
-    return len(m.minpoly()) - 1
-
-
 def minpoly_degrees(model, X):
-    """``minpoly_check_char_not3`` for a batch: the minimal-polynomial degree
-    of sum_i f_i B_i over the model's basis matrices B_i, for each encoded
-    coordinate row f of X.  The rows are taken to be idempotents, unchecked."""
+    """The minimal-polynomial degree of sum_i f_i B_i over the model's basis
+    matrices B_i, for each encoded coordinate row f of X, in one batch.  The
+    rows are taken to be idempotents, unchecked."""
     ar = _encoded_lie.arrays_for(model.field)
     basis = ar.array([m.to_vec() for m in model.basis_matrices])
     return _kernels.batch_minpoly_degrees(model.field, ar.matmul(X, basis).reshape(-1, 3, 3))

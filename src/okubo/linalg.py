@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over any of the supported fields.
+"""Exact dense linear algebra on ``Scalar`` matrices over any of the
+supported fields.
 
 Gauss-Jordan with first-nonzero pivoting everywhere; all arithmetic stays in
 the owning field, so ranks and echelon forms are exact.  Subspaces are always
@@ -6,7 +7,10 @@ stored in reduced row echelon form, which makes subspace equality structural.
 
 Row reduction over small finite fields is routed through the integer-encoded
 kernels in okubo._kernels; everything else runs the generic path on raw
-scalar representations.
+scalar representations.  ``nullspace`` here is the one nullspace on
+Scalars; the array backends have theirs in ``_encoded_lie``, and nothing
+else in the package takes a kernel.  Its users are the idempotent
+classifier and the derivations over Q and Q(w).
 """
 
 from __future__ import annotations
@@ -159,28 +163,6 @@ class Matrix:
             raise SingularMatrix("matrix is not invertible")
         return Matrix(field, [r[n:] for r in red.rows])
 
-    def minpoly(self):
-        """Monic minimal polynomial, constant term first."""
-        n = self.nrows
-        field = self.field
-        power = Matrix.identity(field, n)
-        stack = [power.to_vec()]
-        while True:
-            power = power @ self
-            vec = power.to_vec()
-            mat = Matrix(field, stack + [vec])
-            ns = nullspace(mat.transpose())
-            if ns.dim > 0:
-                rel = ns.basis[0]
-                # nullspace basis is RREF; relation includes the newest power
-                d = len(stack)
-                if not rel[d]:
-                    # dependency among earlier powers would have been caught before
-                    raise AssertionError("unexpected minimal polynomial relation")
-                inv = rel[d].inverse()
-                return [c * inv for c in rel]
-            stack.append(vec)
-
 
 def _rref_generic_reps(rows, field):
     """In-place RREF on a list of rep lists; returns pivot columns."""
@@ -308,46 +290,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient} over {self.field})"
-
-
-class CoordinateSolver:
-    """Solve v = sum c_i u_i for a fixed independent family (u_i).
-
-    Precomputes one RREF of the augmented matrix [U | I], after which each
-    solve is a pair of matrix-vector products.
-    """
-
-    def __init__(self, field, vectors):
-        self.field = field
-        vectors = [tuple(v) for v in vectors]
-        self.count = len(vectors)
-        self.ambient = len(vectors[0]) if vectors else 0
-        ident = Matrix.identity(field, self.ambient)
-        aug = [
-            [vectors[c][r] for c in range(self.count)] + list(ident.rows[r])
-            for r in range(self.ambient)
-        ]
-        red, _, pivots = rref(Matrix(field, aug))
-        if pivots[: self.count] != list(range(self.count)):
-            raise ValueError("vectors are linearly dependent")
-        self._solve_rows = [row[self.count :] for row in red.rows[: self.count]]
-        self._consistency = [row[self.count :] for row in red.rows[self.count :]]
-
-    def solve(self, vec):
-        """Coordinates of vec, or None when it is outside the span."""
-        zero = self.field.zero
-        for crow in self._consistency:
-            acc = zero
-            for c, v in zip(crow, vec):
-                if c and v:
-                    acc = acc + c * v
-            if acc:
-                return None
-        coords = []
-        for srow in self._solve_rows:
-            acc = zero
-            for c, v in zip(srow, vec):
-                if c and v:
-                    acc = acc + c * v
-            coords.append(acc)
-        return tuple(coords)

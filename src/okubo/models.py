@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import _encoded_lie
-from .algebra import AlgebraElement, QuadraticForm, StructureConstantAlgebra
+from .algebra import QuadraticForm, StructureConstantAlgebra
 from .errors import BadCharacteristic, NoCubeRoot
 from .fields import cube_root_of_unity
-from .linalg import CoordinateSolver, Matrix
+from .linalg import Matrix
 
 #: basis order fixed by the multiplication table ("row order")
 OKUBO_INDICES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1))
@@ -115,9 +115,11 @@ class Sl3Model:
     polar values of the basis and the 64 checks of (u*v)*u = sr(u)v are
     computed as stacked arrays (``_products_on_arrays``) on the field's
     exact array backend (``_encoded_lie.arrays_for``: lookup tables,
-    coordinates mod p beyond them, or Z[w] numerators over Q and Q(w)).  The
-    tests compare them with the same formulas and ``coords_of`` on
-    ``Matrix`` objects.
+    coordinates mod p beyond them, or Z[w] numerators over Q and Q(w)).
+    Coordinates in the basis, of the products and of ``coords_of``, are
+    read by ``_coords`` from one RREF of [B | I].  The tests compare them
+    with the same formulas on ``Matrix`` objects and an independent
+    coordinate solver.
     """
 
     def __init__(self, field):
@@ -132,51 +134,42 @@ class Sl3Model:
             coef = (omega ** ((i * j) % 3)) * scale
             basis.append(coef * (_matrix_power_mod3(x, i, field) @ _matrix_power_mod3(y, j, field)))
         self.basis_matrices = basis
-        self._solver = CoordinateSolver(field, [m.to_vec() for m in basis])
         self._trace_coef = (omega - omega * omega) * field.from_int(3).inverse()
-        ar = _encoded_lie.arrays_for(field)
+        self._ar = ar = _encoded_lie.arrays_for(field)
+        rows, n = [list(m.to_vec()) for m in basis], len(basis)
+        unit = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+        self._basis_rows = ar.array(rows)
+        self._basis_rref = ar.rref(ar.array([r + u for r, u in zip(rows, unit)]))
         self.algebra = self._algebra_from(*self._products_on_arrays(ar))
 
     def coords_of(self, m):
         """Coordinates of a trace-zero matrix in the frozen basis."""
-        coords = self._solver.solve(m.to_vec())
-        if coords is None:
+        return tuple(self._ar.decode(self._coords(self._ar.array([m.to_vec()])))[0])
+
+    def _coords(self, V):
+        """Coordinates (N, 8) of flattened 3x3 matrices V (N, 9) in the basis
+        B, each checked by recombination.  The RREF of [B | I] is [R | T]
+        with R = T B and R[:, pivots] = I, so v = c B has c = v[pivots] T."""
+        ar, (red, pivots) = self._ar, self._basis_rref
+        coords = ar.matmul(V[:, list(pivots)], red[:, -len(pivots):])
+        if not ar.equal(ar.matmul(coords, self._basis_rows), V).all():
             raise ValueError("matrix is not in the span of the model basis")
         return coords
-
-    def matrix_of(self, coords):
-        if isinstance(coords, AlgebraElement):
-            coords = coords.coords
-        acc = Matrix.zeros(self.field, 3, 3)
-        for c, m in zip(coords, self.basis_matrices):
-            if c:
-                acc = acc + c * m
-        return acc
 
     def _products_on_arrays(self, ar):
         """(tensor, norms, polar matrix) of the basis on the array backend
         ``ar``, each a few stacked products, after the 64 checks of
         (u*v)*u = sr(u)v, which run on the products before their coordinates
         are read.
-
-        Coordinates: the RREF of [B | I] is [R | T] with R = T B, so a vector
-        v of the span has the coordinates v[pivots] T; each is checked by
-        recombination.
         """
-        field, basis = self.field, self.basis_matrices
-        n, side = len(basis), basis[0].nrows
-        B = ar.array([m.rows for m in basis])
+        n, side = len(self.basis_matrices), 3
+        B = ar.array([m.rows for m in self.basis_matrices])
         products, traces = self._star_on_arrays(ar, B[:, None], B[None])
         norms = _sr_on_arrays(ar, B)
         lhs, _ = self._star_on_arrays(ar, products, B[:, None])
         if not ar.equal(lhs, ar.mul(norms[:, None, None, None], B[None])).all():
             raise AssertionError("(u*v)*u = sr(u)v fails on the model basis")
-        unit = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-        red, pivots = ar.rref(ar.array([list(m.to_vec()) + u for m, u in zip(basis, unit)]))
-        V = products.reshape(n * n, side * side)
-        coords = ar.matmul(V[:, list(pivots)], red[:, side * side:])
-        if not ar.equal(ar.matmul(coords, B.reshape(n, side * side)), V).all():
-            raise ValueError("matrix is not in the span of the model basis")
+        coords = self._coords(products.reshape(n * n, side * side))
         # the polar form sr(a, b) = tr(a) tr(b) - tr(ab)
         tr = _trace_on_arrays(ar, B)
         polar = ar.sub(ar.mul(tr[:, None], tr[None]), traces)

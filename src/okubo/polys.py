@@ -4,30 +4,27 @@ Coefficient lists are constant-first with no trailing zeros; [] is the zero
 polynomial.  The coefficients are Scalars, or the encoded indices of a field
 with lookup tables (0 is zero, 1 is one).  A ``Coefficients`` object does
 the arithmetic on Scalars and an ``EncodedCoefficients`` object on indices,
-so each algorithm below is written once for both.  Only what the
-irreducibility and factorization routines need: factoring the
-characteristic polynomials of the MeatAxe over finite fields
-(``_encoded_lie``: on indices over fields with tables, on Scalars beyond
-them), and checking the modulus of every GF(p^k).
+so each algorithm below is written once for both.  Only what factorization
+needs: factoring the characteristic polynomials of the MeatAxe over finite
+fields (``_encoded_lie``: on indices over fields with tables, on Scalars
+beyond them), and checking the modulus of every GF(p^k).
 
-``factor`` is deterministic and holds no random state: squarefree
-decomposition, then distinct-degree factorization (Cantor and Zassenhaus,
-Math. Comp. 36, 1981), then Berlekamp's deterministic splitting of each
-equal-degree part.  Its cost depends on the polynomial, not on a seed, and
-it sorts the factors by the Scalar coefficients, so indices and Scalars give
-the same list.  The tests compare it with trial division by every monic
-irreducible of degree <= 4.
+``factor`` uses no linear algebra: squarefree decomposition, then
+distinct-degree factorization and equal-degree splitting after Cantor and
+Zassenhaus (Math. Comp. 36, 1981).  The splitting is randomized, from a
+fixed seed of its own, so ``factor`` holds no state between calls and gives
+the same result on every run.  The irreducible
+factors are unique and ``factor`` sorts them by the Scalar coefficients, so
+the seed, indices and Scalars all give the same list.  The tests compare it
+with trial division by every monic irreducible of degree <= 4.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-import numpy as np
+import random
 
 from . import _kernels
 from .errors import InfiniteField
-from .linalg import Matrix, nullspace
 
 
 class Coefficients:
@@ -66,16 +63,9 @@ class Coefficients:
             acc = acc + x * y
         return acc
 
-    def elements(self):
-        return self.field.elements()
-
     def key(self, c):
         """The sort key of a coefficient: the repr of its Scalar rep."""
         return repr(c.rep)
-
-    def nullspace(self, rows):
-        """The RREF basis of {v : rows v = 0}, as lists."""
-        return [list(v) for v in nullspace(Matrix(self.field, rows)).basis]
 
     def power(self, a, e):
         out = self.one
@@ -127,14 +117,8 @@ class EncodedCoefficients(Coefficients):
             acc = add[acc][mul[x][y]]
         return acc
 
-    def elements(self):
-        return range(len(self._keys))
-
     def key(self, c):
         return self._keys[c]
-
-    def nullspace(self, rows):
-        return _kernels.nullspace_encoded(self.field, np.array(rows, dtype=np.int64)).tolist()
 
 
 def trim(coeffs):
@@ -146,14 +130,6 @@ def trim(coeffs):
 
 def degree(poly):
     return len(poly) - 1
-
-
-def poly_divmod(a, b, field):
-    return _divmod(a, b, Coefficients(field))
-
-
-def monic(poly):
-    return _monic(poly, Coefficients(poly[-1].field)) if poly else poly
 
 
 def _mul(a, b, F):
@@ -192,44 +168,6 @@ def _monic(poly, F):
         return poly
     inv = F.inv(poly[-1])
     return [F.mul(c, inv) for c in poly]
-
-
-def poly_eval(poly, x):
-    acc = x.field.zero
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _monic_polys(field, deg):
-    """All monic polynomials of the given degree over a finite field."""
-    if field.cardinality is None:
-        raise InfiniteField("cannot enumerate polynomials over an infinite field")
-    lower = list(field.elements())
-    for tail in product(lower, repeat=deg):
-        yield list(tail) + [field.one]
-
-
-def is_irreducible(poly, field):
-    """Irreducibility test for degree <= 4 via exhaustive root/factor search."""
-    d = degree(poly)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if d > 4:
-        raise ValueError("irreducibility test only supports degree <= 4")
-    for x in field.elements():
-        if not poly_eval(poly, x):
-            return False
-    if d == 4:
-        for quad in _monic_polys(field, 2):
-            if any(not poly_eval(quad, x) for x in field.elements()):
-                continue
-            _, rem = poly_divmod(poly, quad, field)
-            if not rem:
-                return False
-    return True
 
 
 def _factor_key(f, key=lambda c: repr(c.rep)):
@@ -350,37 +288,37 @@ def _distinct_degree_parts(f, F):
 
 def _equal_degree_split(f, d, F):
     """The irreducible factors of f, a squarefree monic product of
-    irreducibles of degree d, by Berlekamp's splitting.
-
-    The v with v^q = v mod f form an algebra whose dimension is the number of
-    factors; each v is a constant c_i mod the i-th factor.  Its RREF basis is
-    the nullspace of Q - I (Q from ``_frobenius_rows``), and gcd(h, v - c)
-    over the constants c splits every current factor h on which v is not
-    constant.  A basis separates all the factors, so the splitting is
-    complete and uses no random choices.
-    """
-    n = degree(f)
-    if n <= d:
-        return [f]
-    rows = _frobenius_rows(f, F)
-    fixed = [[F.sub(rows[i][j], F.one if i == j else F.zero) for i in range(n)]
-             for j in range(n)]
-    factors = [f]
-    for v in F.nullspace(fixed):
-        v = trim(v)
-        if degree(v) < 1:
+    irreducibles of degree d, by Cantor-Zassenhaus splitting from a fixed
+    seed: for a random a of degree < deg h, gcd(``_split_map``(a, h), h)
+    splits a current factor h with probability about 1/2.  Every piece is a
+    divisor of f, so the result does not depend on the draws."""
+    q, rng = F.field.cardinality, random.Random(0)
+    factors, done = [f], []
+    while factors:
+        h = factors.pop()
+        if degree(h) == d:
+            done.append(h)
             continue
-        split = []
-        for h in factors:
-            found = 0
-            for c in F.elements():
-                if found == degree(h):
-                    break
-                g = _poly_gcd(h, _poly_sub(v, [c], F), F)
-                if degree(g) > 0:
-                    split.append(g)
-                    found += degree(g)
-        factors = split
-        if len(factors) == n // d:
-            break
-    return factors
+        a = trim([F.from_index(rng.randrange(q)) for _ in range(degree(h))])
+        g = _poly_gcd(h, _split_map(a, h, d, F), F)
+        if 0 < degree(g) < degree(h):
+            factors += [g, _divmod(h, g, F)[0]]
+        else:
+            factors.append(h)
+    return done
+
+
+def _split_map(a, h, d, F):
+    """a^((q^d - 1)/2) - 1 mod h for odd q, and the trace
+    a + a^2 + ... + a^(2^(kd - 1)) mod h for q = 2^k.  Modulo an irreducible
+    factor of h of degree d, a is an element u of GF(q^d), and the map is
+    zero there exactly when u is a nonzero square (odd q) or has trace zero
+    over GF(2) (q = 2^k)."""
+    q = F.field.cardinality
+    if q % 2:
+        return _poly_sub(_poly_powmod(a, (q**d - 1) // 2, h, F), [F.one], F)
+    term = acc = _divmod(a, h, F)[1]
+    for _ in range((q.bit_length() - 1) * d - 1):
+        term = _divmod(_mul(term, term, F), h, F)[1]
+        acc = _poly_sub(acc, term, F)  # acc + term: -1 = 1 in characteristic 2
+    return acc

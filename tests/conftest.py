@@ -62,7 +62,7 @@ def okubo_qw(qw):
 @pytest.fixture(scope="session")
 def census_gf3(okubo_gf3):
     """The exhaustive GF(3) idempotent list, shared across the suite."""
-    from okubo.idempotents import enumerate_idempotents
+    from scalar_reference import enumerate_idempotents
 
     return enumerate_idempotents(okubo_gf3)
 

@@ -92,7 +92,7 @@ MUTANTS = [
     {
         "name": "the MeatAxe skips the transposed spin of Norton's criterion",
         "file": "_encoded_lie.py",
-        "find": "                if spin_dim(ar, ar.from_entries(ker_t[0]), gens_t, words_t) != n:\n",
+        "find": "                if spin_dim(ar, ker_t[0], gens_t, words_t) != n:\n",
         "replace": "                if False:\n",
         "tests": ["tests/test_liealg.py::TestEncodedLie::test_perfect_centerless_nonsimple_rejected"],
     },
@@ -146,5 +146,39 @@ MUTANTS = [
         "find": "        for k in range(dim):\n",
         "replace": "        for k in range(dim - 1):\n",
         "tests": ["tests/test_kernels.py::test_census_implementations_agree"],
+    },
+    {
+        "name": "Cantor-Zassenhaus raises to (q^d + 1)/2 for odd q",
+        "file": "polys.py",
+        "find": "        return _poly_sub(_poly_powmod(a, (q**d - 1) // 2, h, F), [F.one], F)\n",
+        "replace": "        return _poly_sub(_poly_powmod(a, (q**d + 1) // 2, h, F), [F.one], F)\n",
+        "tests": ["tests/test_polys.py::TestFactorization::test_split_map_vanishes_at_squares_or_trace_zero"],
+    },
+    {
+        "name": "the characteristic-2 trace of Cantor-Zassenhaus stops one term short",
+        "file": "polys.py",
+        "find": "    for _ in range((q.bit_length() - 1) * d - 1):\n",
+        "replace": "    for _ in range((q.bit_length() - 1) * d - 2):\n",
+        "tests": ["tests/test_polys.py::TestFactorization::test_split_map_vanishes_at_squares_or_trace_zero"],
+    },
+    {
+        "name": "the sl3 coordinates read one pivot column off",
+        "file": "models.py",
+        "find": "        coords = ar.matmul(V[:, list(pivots)], red[:, -len(pivots):])\n",
+        "replace": "        coords = ar.matmul(V[:, list(pivots[:-1]) + [pivots[-1] + 1]], red[:, -len(pivots):])\n",
+        "tests": [
+            "tests/test_models.py::test_array_model_matches_matrix_path",
+            "tests/test_models.py::TestSl3Model::test_coords_round_trip",
+        ],
+    },
+    {
+        "name": "the modulus check accepts a reducible modulus",
+        "file": "fields.py",
+        "find": "        if polys.factor(monic, polys.Coefficients(prime)) != [monic]:\n",
+        "replace": "        if not polys.factor(monic, polys.Coefficients(prime)):\n",
+        "tests": [
+            "tests/test_fields.py::TestConstruction::test_reducible_modulus",
+            "tests/test_polys.py::TestIrreducibility",
+        ],
     },
 ]

@@ -1,11 +1,17 @@
 """The reference for the array pipeline: the Leibniz system, the derivation
 analysis, the MeatAxe and the sl3 model products on ``Scalar`` matrices, with the
-characteristic polynomial, the sl3 norm and product on ``Matrix`` objects,
-the truncated-polynomial product by partial derivatives, the irreducible
-polynomials of degree <= 4, the identity checks on elements
-(``ObjectBatch``) and the table matrix product one step of the contraction
-at a time (``batch_matmul_reference``) that the tests compare the package
-with.
+characteristic polynomial, the minimal polynomial, the sl3 norm and product
+on ``Matrix`` objects, an independent coordinate solver (``CoordinateSolver``,
+whose coordinates the sl3 reference tensor reads), the truncated-polynomial
+product by partial derivatives, the irreducible polynomials of degree <= 4 by
+exhaustive search (the trial-division oracle of ``polys.factor``), the
+identity checks on elements (``ObjectBatch``, drawing with
+``random_element``) and the table matrix product one step of the
+contraction at a time (``batch_matmul_reference``) that the tests compare
+the package with.  ``minpoly_check_char_not3`` is the oracle of
+``idempotents.minpoly_degrees``, and ``centralizer`` and
+``enumerate_idempotents`` give the tests the centralizer and the decoded
+census.
 
 The package runs all of these on exact arrays (``okubo._encoded_lie``, one
 code path for three backends); the tests compare every stage with the
@@ -23,6 +29,7 @@ spin of a vector under maps) are functions below.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -30,7 +37,15 @@ import numpy as np
 
 from okubo import _kernels, polys
 from okubo.algebra import IdentityBatch, StructureConstantAlgebra
-from okubo.errors import BadCharacteristic, Inconclusive, InfiniteField, NotClosed, OkuboError
+from okubo.errors import (
+    BadCharacteristic,
+    Inconclusive,
+    InfiniteField,
+    NotClosed,
+    NotIdempotent,
+    OkuboError,
+)
+from okubo.idempotents import idempotent_codes
 from okubo.liealg import DerivationAnalysis
 from okubo.linalg import Matrix, Subspace, nullspace, rref
 from okubo.models import TruncatedPoly
@@ -92,6 +107,87 @@ def solve(matrix, rhs):
 def factor_into_irreducibles(poly, field):
     """``polys.factor`` of a polynomial with Scalar coefficients."""
     return polys.factor(poly, polys.Coefficients(field))
+
+
+def poly_divmod(a, b, field):
+    """(quotient, remainder) of Scalar coefficient lists, by long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, quot = list(a), [field.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = b[-1].inverse()
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem[shift + len(b) - 1] * inv_lead
+        quot[shift] = c
+        for i, bi in enumerate(b):
+            rem[shift + i] = rem[shift + i] - c * bi
+    return polys.trim(quot), polys.trim(rem)
+
+
+def monic(poly):
+    """The monic multiple of a nonzero Scalar coefficient list."""
+    inv = poly[-1].inverse()
+    return [c * inv for c in poly]
+
+
+def poly_eval(poly, x):
+    acc = x.field.zero
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def random_element(algebra, rng):
+    """An element with coordinates ``random_scalar`` draws, first to last:
+    the elements the arrays' ``random`` draws."""
+    return algebra.element([algebra.field.random_scalar(rng) for _ in range(algebra.dim)])
+
+
+def minpoly(matrix):
+    """Monic minimal polynomial of a square Matrix, constant term first: the
+    first power of the matrix that depends linearly on the lower ones."""
+    field, n = matrix.field, matrix.nrows
+    power = Matrix.identity(field, n)
+    stack = [power.to_vec()]
+    while True:
+        power = power @ matrix
+        ns = nullspace(Matrix(field, stack + [power.to_vec()]).transpose())
+        if ns.dim > 0:
+            rel = ns.basis[0]
+            # the RREF basis vector ends in the newest power, since the lower
+            # ones are independent
+            if not rel[len(stack)]:
+                raise AssertionError("unexpected minimal polynomial relation")
+            inv = rel[len(stack)].inverse()
+            return [c * inv for c in rel]
+        stack.append(power.to_vec())
+
+
+class CoordinateSolver:
+    """Solve v = sum c_i u_i for a fixed independent family (u_i), from one
+    RREF of the augmented matrix [U | I] on Scalars; each solve is then a
+    pair of matrix-vector products."""
+
+    def __init__(self, field, vectors):
+        self.field = field
+        vectors = [tuple(v) for v in vectors]
+        self.count = len(vectors)
+        self.ambient = len(vectors[0]) if vectors else 0
+        ident = Matrix.identity(field, self.ambient)
+        aug = [
+            [vectors[c][r] for c in range(self.count)] + list(ident.rows[r])
+            for r in range(self.ambient)
+        ]
+        red, _, pivots = rref(Matrix(field, aug))
+        if pivots[: self.count] != list(range(self.count)):
+            raise ValueError("vectors are linearly dependent")
+        self._solve_rows = [row[self.count :] for row in red.rows[: self.count]]
+        self._consistency = [row[self.count :] for row in red.rows[self.count :]]
+
+    def solve(self, vec):
+        """Coordinates of vec, or None when it is outside the span."""
+        if any(Matrix(self.field, self._consistency).matvec(vec)):
+            return None
+        return Matrix(self.field, self._solve_rows).matvec(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +793,51 @@ def para_hurwitz_of(algebra):
 
 def sl3_products(model):
     """(tensor, norms, polar matrix) of the basis of an ``Sl3Model``, from
-    ``star`` and ``coords_of`` on Matrix objects, after checking
+    ``star`` and ``CoordinateSolver`` on Matrix objects, after checking
     (u*v)*u = sr(u)v on all basis pairs."""
     basis = model.basis_matrices
     for a in basis:
         for b in basis:
             if star(model, star(model, a, b), a) != sr_form(a) * b:
                 raise AssertionError("(u*v)*u = sr(u)v fails on the model basis")
-    tensor = [[list(model.coords_of(star(model, a, b))) for b in basis] for a in basis]
+    solver = CoordinateSolver(model.field, [m.to_vec() for m in basis])
+    tensor = [[list(solver.solve(star(model, a, b).to_vec())) for b in basis] for a in basis]
     values = [sr_form(m) for m in basis]
     polar = [[sr_polar(a, b) for b in basis] for a in basis]
     return tensor, values, polar
+
+
+def matrix_of(model, coords):
+    """The matrix sum_i c_i B_i of an ``Sl3Model`` for coordinates, or an
+    element, c."""
+    acc = Matrix.zeros(model.field, 3, 3)
+    for c, m in zip(getattr(coords, "coords", coords), model.basis_matrices):
+        if c:
+            acc = acc + c * m
+    return acc
+
+
+def minpoly_check_char_not3(model, f):
+    """Degree of the minimal polynomial of an idempotent of the matrix model,
+    viewed as a 3x3 matrix: the oracle of ``idempotents.minpoly_degrees``."""
+    if model.field.characteristic == 3:
+        raise BadCharacteristic("minimal-polynomial check applies when char != 3")
+    if not f or model.algebra.multiply(f, f) != f:
+        raise NotIdempotent(f"{f} is not a nonzero idempotent")
+    return len(minpoly(matrix_of(model, f))) - 1
+
+
+def enumerate_idempotents(algebra, budget=10**8):
+    """All nonzero v with v*v = v over a finite field, from the census codes,
+    in lexicographic order of their coordinates."""
+    codes = idempotent_codes(algebra, budget)
+    rows = _kernels.census_digits(algebra.field, codes, algebra.dim)
+    return [algebra.element(c) for c in _kernels.decode_rows(algebra.field, rows)]
+
+
+def centralizer(algebra, f):
+    """Solution space of x*f = f*x."""
+    return nullspace(algebra.right_mult_matrix(f) - algebra.left_mult_matrix(f))
 
 
 def sr_form(a):
@@ -810,10 +940,31 @@ def decompose(model, poly):
     return scalar, model.algebra.element(coords)
 
 
+def monic_polys(field, deg):
+    """All monic polynomials of the given degree over a finite field, in
+    enumeration order."""
+    for tail in itertools.product(list(field.elements()), repeat=deg):
+        yield list(tail) + [field.one]
+
+
+def is_irreducible(poly, field):
+    """Irreducibility of a polynomial of degree 1 to 4 by exhaustive search:
+    no root, and for degree 4 no monic quadratic factor without roots."""
+    d = polys.degree(poly)
+    if d > 1 and any(not poly_eval(poly, x) for x in field.elements()):
+        return False
+    if d == 4:
+        for quad in monic_polys(field, 2):
+            if all(poly_eval(quad, x) for x in field.elements()) \
+                    and not poly_divmod(poly, quad, field)[1]:
+                return False
+    return True
+
+
 def irreducible_polys(field, deg):
     """All monic irreducible polynomials of degree <= 4, in enumeration order."""
-    for cand in polys._monic_polys(field, deg):
-        if polys.is_irreducible(cand, field):
+    for cand in monic_polys(field, deg):
+        if is_irreducible(cand, field):
             yield cand
 
 
@@ -845,8 +996,7 @@ class ObjectBatch(IdentityBatch):
         return _objects(elements)
 
     def draw(self, rng, count, arity):
-        rand = self.algebra.random_element
-        draws = [[rand(rng) for _ in range(arity)] for _ in range(count)]
+        draws = [[random_element(self.algebra, rng) for _ in range(arity)] for _ in range(count)]
         return tuple(self.rows([t[n] for t in draws]) for n in range(arity))
 
     def multiply(self, X, Y):

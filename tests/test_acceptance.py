@@ -16,12 +16,9 @@ from okubo.idempotents import (
     QUATERNIONIC,
     SINGULAR,
     census_summary,
-    centralizer,
     classify_idempotent,
-    enumerate_idempotents,
     find_idempotents_slice_search,
     fixed_space,
-    minpoly_check_char_not3,
     petersson_twist,
     tau_map,
     twist_report,
@@ -39,8 +36,10 @@ from okubo.models import (
 )
 from scalar_reference import (
     center_of,
+    centralizer,
     derived_subalgebra,
     diamond_via_partials,
+    enumerate_idempotents,
     full_space,
     grading_on_derivations,
     inner_derivation_span,
@@ -48,6 +47,7 @@ from scalar_reference import (
     is_simple_finite,
     killing_form,
     lie_close,
+    minpoly_check_char_not3,
     verify_block_bracket,
 )
 

@@ -16,7 +16,7 @@ from okubo.errors import AlgebraMismatch, NoForm
 from okubo.fields import field_from_spec
 from okubo.linalg import Matrix
 from okubo.models import OKUBO_LABELS, build_split_okubo
-from scalar_reference import ObjectBatch, from_rows
+from scalar_reference import ObjectBatch, from_rows, random_element
 
 
 def mutated_okubo(field, which=0, value=None):
@@ -77,9 +77,9 @@ class TestMultiply:
     def test_bilinear_randomized(self, okubo_gf7, gf7):
         rng = random.Random(41)
         for _ in range(100):
-            x = okubo_gf7.random_element(rng)
-            x2 = okubo_gf7.random_element(rng)
-            y = okubo_gf7.random_element(rng)
+            x = random_element(okubo_gf7, rng)
+            x2 = random_element(okubo_gf7, rng)
+            y = random_element(okubo_gf7, rng)
             a = gf7.random_scalar(rng)
             b = gf7.random_scalar(rng)
             lhs = okubo_gf7.multiply(x * a + x2 * b, y)
@@ -117,8 +117,8 @@ class TestNorm:
         algebra = build_split_okubo(field)
         rng = random.Random(43)
         for _ in range(100):
-            x = algebra.random_element(rng)
-            y = algebra.random_element(rng)
+            x = random_element(algebra, rng)
+            y = random_element(algebra, rng)
             assert algebra.norm_polar(x, y) == algebra.norm(x + y) - algebra.norm(x) - algebra.norm(y)
 
     @pytest.mark.parametrize("spec", ["gf(2)", "gf(7)", "q(w)"])
@@ -263,7 +263,7 @@ class TestIntegerBatch:
         for seed in range(4):
             rng, ref = random.Random(seed), random.Random(seed)
             X, Y = batch.draw(rng, 25, 2)
-            elements = [[algebra.random_element(ref) for _ in range(2)] for _ in range(25)]
+            elements = [[random_element(algebra, ref) for _ in range(2)] for _ in range(25)]
             for n, rows in enumerate((X, Y)):
                 want = batch.rows([pair[n] for pair in elements])
                 assert batch.equal(rows, want).all()
@@ -370,7 +370,7 @@ class TestContractionLayer:
         algebra = contraction_algebra(case)
         rng = random.Random(3)
         basis = algebra.basis()
-        for x in basis + [algebra.random_element(rng) for _ in range(3)]:
+        for x in basis + [random_element(algebra, rng) for _ in range(3)]:
             left, right = algebra.left_mult_matrix(x), algebra.right_mult_matrix(x)
             for j, b in enumerate(basis):
                 assert left.col(j) == algebra.multiply(x, b).coords
@@ -397,7 +397,7 @@ class TestContractionLayer:
         ar = _encoded_lie.arrays_for(algebra.field)
         C = _encoded_lie.tensor_of(ar, algebra)
         rng = random.Random(7)
-        xs = algebra.basis() + [algebra.random_element(rng) for _ in range(3)]
+        xs = algebra.basis() + [random_element(algebra, rng) for _ in range(3)]
         L, R = _encoded_lie.mult_stacks(ar, C, ar.array([x.coords for x in xs]))
         assert ar.decode(L) == [list(map(list, algebra.left_mult_matrix(x).rows)) for x in xs]
         assert ar.decode(R) == [list(map(list, algebra.right_mult_matrix(x).rows)) for x in xs]

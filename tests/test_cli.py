@@ -309,7 +309,7 @@ class TestExportAndReports:
         assert report["field"] == "gf(3)"
         assert report["seed"] == 3
         assert "timestamp" in report
-        assert report["backend"] in ("numba", "numpy")
+        assert report["backend"] == "numpy"
 
 
 def test_scan_fault_caught_by_dual_pass(capsys, monkeypatch):

@@ -20,17 +20,13 @@ from okubo.idempotents import (
     SINGULAR,
     _alternative_laws,
     census_summary,
-    centralizer,
     classify_idempotent,
-    enumerate_idempotents,
     find_idempotents_slice_search,
     fixed_space,
     full_field_census,
     idempotent_codes,
     is_idempotent,
-    minpoly_check_char_not3,
     minpoly_degrees,
-    nonclassified_report,
     norm_rank_on,
     petersson_twist,
     tau_map,
@@ -39,9 +35,12 @@ from okubo.idempotents import (
 from okubo.linalg import Matrix, Subspace
 from scalar_reference import (
     ObjectBatch,
+    centralizer,
     contains_vector,
+    enumerate_idempotents,
     from_rows,
     full_space,
+    minpoly_check_char_not3,
     para_hurwitz_of,
     unit_of,
     zero_space,
@@ -159,8 +158,9 @@ class TestTauContract:
         with pytest.raises(AssertionError, match=message):
             tau_map(algebra, e)
         # the classifier runs the same contract check
-        with pytest.raises(AssertionError, match=message):
-            (classify_idempotent if p == 3 else nonclassified_report)(algebra, e)
+        if p == 3:
+            with pytest.raises(AssertionError, match=message):
+                classify_idempotent(algebra, e)
 
 
 class TestCentralizer:
@@ -472,12 +472,12 @@ class TestClassification:
         with pytest.raises(BadCharacteristic):
             classify_idempotent(okubo_gf7, f)
 
-    def test_nonclassified_report(self, okubo_gf7, sl3_gf7, gf7):
+    def test_tau_contract_off_char3(self, okubo_gf7, sl3_gf7, gf7):
         f = okubo_gf7.basis_element(0) + okubo_gf7.basis_element(1)
-        rep = nonclassified_report(okubo_gf7, f, model=sl3_gf7)
-        assert rep.type_tag == "nonclassified-char-not-3"
-        assert rep.minpoly_degree == 2
-        assert rep.norm_value == gf7.one
+        tau = tau_map(okubo_gf7, f)
+        assert fixed_space(tau) == centralizer(okubo_gf7, f)
+        assert minpoly_check_char_not3(sl3_gf7, sl3_gf7.algebra.element(f.coords)) == 2
+        assert okubo_gf7.norm(f) == gf7.one
 
 
 GF3_SIGNATURES = {(6, 4): QUATERNIONIC, (4, 2): QUADRATIC, (4, 1): SINGULAR}
@@ -508,16 +508,15 @@ def test_classify_matches_public_reference(okubo_gf3, census_gf3):
     assert by_type == GF3_BY_TYPE
 
 
-def test_nonclassified_report_matches_public_reference(okubo_gf7, sl3_gf7):
+def test_tau_off_char3_matches_public_reference(okubo_gf7, sl3_gf7):
     sample = find_idempotents_slice_search(okubo_gf7, 6, seed=11)
     assert len(sample) == 6
-    for f in sample:
-        summary = nonclassified_report(okubo_gf7, f, model=sl3_gf7).summary()
-        expected = reference_summary(okubo_gf7, f, lambda *_: "nonclassified-char-not-3")
-        expected["minpoly_degree"] = minpoly_check_char_not3(
-            sl3_gf7, sl3_gf7.algebra.element(f.coords)
-        )
-        assert summary == expected
+    X = _kernels.encode_rows(okubo_gf7.field, [f.coords for f in sample])
+    for f, degree in zip(sample, minpoly_degrees(sl3_gf7, X).tolist()):
+        cent = centralizer(okubo_gf7, f)
+        assert fixed_space(tau_map(okubo_gf7, f)) == cent
+        assert (cent.dim, norm_rank_on(cent, okubo_gf7)) == (4, 4)
+        assert degree == minpoly_check_char_not3(sl3_gf7, sl3_gf7.algebra.element(f.coords))
 
 
 class TestCensusSummary:

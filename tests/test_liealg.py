@@ -34,6 +34,7 @@ from scalar_reference import (
     leibniz_holds,
     lie_close,
     minus_algebra,
+    random_element,
     verify_block_bracket,
 )
 from test_algebra import QW_MUTANT_VALUES, mutated_okubo, with_entry
@@ -99,8 +100,8 @@ class TestDerivationProperties:
             for c, m in zip(coeffs, mats):
                 if c:
                     d = d + c * m
-            x = okubo_gf3.random_element(rng)
-            y = okubo_gf3.random_element(rng)
+            x = random_element(okubo_gf3, rng)
+            y = random_element(okubo_gf3, rng)
             lhs = okubo_gf3.element(d.matvec(okubo_gf3.multiply(x, y).coords))
             rhs = okubo_gf3.multiply(okubo_gf3.element(d.matvec(x.coords)), y) + \
                 okubo_gf3.multiply(x, okubo_gf3.element(d.matvec(y.coords)))
@@ -125,8 +126,8 @@ class TestDerivationProperties:
         for row in der.basis:
             d = from_vec(gf7, row, 8, 8)
             for _ in range(25):
-                x = okubo_gf7.random_element(rng)
-                y = okubo_gf7.random_element(rng)
+                x = random_element(okubo_gf7, rng)
+                y = random_element(okubo_gf7, rng)
                 dx = okubo_gf7.element(d.matvec(x.coords))
                 dy = okubo_gf7.element(d.matvec(y.coords))
                 s = okubo_gf7.norm_polar(dx, y) + okubo_gf7.norm_polar(x, dy)

@@ -26,6 +26,8 @@ from scalar_reference import (
     diamond_via_partials,
     from_rows,
     is_zero,
+    matrix_of,
+    random_element,
     sl3_products,
     sr_form,
     sr_polar,
@@ -136,8 +138,8 @@ class TestSl3Model:
     def test_star_traceless(self, sl3_gf7, gf7):
         rng = random.Random(5)
         for _ in range(50):
-            a = sl3_gf7.matrix_of(sl3_gf7.algebra.random_element(rng))
-            b = sl3_gf7.matrix_of(sl3_gf7.algebra.random_element(rng))
+            a = matrix_of(sl3_gf7, random_element(sl3_gf7.algebra, rng))
+            b = matrix_of(sl3_gf7, random_element(sl3_gf7.algebra, rng))
             assert trace(star(sl3_gf7, a, b)) == gf7.zero
 
     def test_norm_multiplicative_qw(self):
@@ -146,15 +148,15 @@ class TestSl3Model:
         algebra = model.algebra
         rng = random.Random(6)
         for _ in range(100):
-            x = algebra.random_element(rng)
-            y = algebra.random_element(rng)
+            x = random_element(algebra, rng)
+            y = random_element(algebra, rng)
             assert algebra.norm(algebra.multiply(x, y)) == algebra.norm(x) * algebra.norm(y)
 
     def test_coords_round_trip(self, sl3_gf7):
         rng = random.Random(7)
         for _ in range(20):
-            el = sl3_gf7.algebra.random_element(rng)
-            assert sl3_gf7.coords_of(sl3_gf7.matrix_of(el)) == el.coords
+            el = random_element(sl3_gf7.algebra, rng)
+            assert sl3_gf7.coords_of(matrix_of(sl3_gf7, el)) == el.coords
 
     def test_omega_choice_deterministic(self, sl3_gf7, gf7):
         assert sl3_gf7.omega == gf7.scalar(2)
@@ -239,8 +241,8 @@ class TestChar3Model:
         algebra = model.algebra
         rng = random.Random(10)
         for _ in range(50):
-            u = algebra.random_element(rng)
-            v = algebra.random_element(rng)
+            u = random_element(algebra, rng)
+            v = random_element(algebra, rng)
             d = diamond_truncated(to_poly(model, u), to_poly(model, v))
             scalar, part = decompose(model, d)
             assert scalar == algebra.norm_polar(u, v)

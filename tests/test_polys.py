@@ -4,8 +4,16 @@ import random
 import pytest
 
 from okubo import polys
+from okubo.errors import ReducibleModulus
 from okubo.fields import GF, field_from_spec
-from scalar_reference import factor_into_irreducibles, irreducible_polys, poly_mul
+from scalar_reference import (
+    factor_into_irreducibles,
+    irreducible_polys,
+    monic,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+)
 
 
 def P(field, ints):
@@ -29,13 +37,13 @@ def factor_by_trial_division(poly, field):
     with the irreducibles of degree 1..4.  Whatever remains has no factor of
     degree <= 4 and degree <= 8 < 2*5, hence is irreducible."""
     factors = []
-    rest = polys.monic(poly)
+    rest = monic(poly)
     for d in range(1, 5):
         if polys.degree(rest) < 2 * d:
             break
         for irr in irreducible_polys(field, d):
             while polys.degree(rest) >= d:
-                q, rem = polys.poly_divmod(rest, irr, field)
+                q, rem = poly_divmod(rest, irr, field)
                 if rem:
                     break
                 factors.append(irr)
@@ -48,20 +56,48 @@ def factor_by_trial_division(poly, field):
 
 
 class TestIrreducibility:
+    """``GF(p, modulus)`` accepts a modulus exactly when ``factor`` gives it
+    back as its one factor."""
+
     def test_known_quadratics_gf3(self, gf3):
-        assert polys.is_irreducible(P(gf3, [1, 0, 1]), gf3)  # t^2+1
-        assert not polys.is_irreducible(P(gf3, [2, 0, 1]), gf3)  # (t-1)(t+1)
+        assert GF(3, (1, 0, 1)).cardinality == 9  # t^2+1
+        with pytest.raises(ReducibleModulus):
+            GF(3, (2, 0, 1))  # (t-1)(t+1)
 
     def test_degree4(self, gf2):
-        assert polys.is_irreducible(P(gf2, [1, 1, 0, 0, 1]), gf2)  # t^4+t+1
-        # (t^2+t+1)^2 has no roots but factors
-        assert not polys.is_irreducible(P(gf2, [1, 0, 1, 0, 1]), gf2)
+        assert GF(2, (1, 1, 0, 0, 1)).cardinality == 16  # t^4+t+1
+        # (t^2+t+1)^2 has no roots but factors, and is not squarefree
+        with pytest.raises(ReducibleModulus):
+            GF(2, (1, 0, 1, 0, 1))
+
+    def test_split_into_linear_factors_gf5(self, gf5):
+        # t^2+1 = (t-2)(t-3): one distinct-degree part, split by Cantor-Zassenhaus
+        assert factor_into_irreducibles(P(gf5, [1, 0, 1]), gf5) == [P(gf5, [2, 1]), P(gf5, [3, 1])]
+        with pytest.raises(ReducibleModulus):
+            GF(5, (1, 0, 1))
 
     def test_linear_always(self, gf5):
-        assert polys.is_irreducible(P(gf5, [3, 1]), gf5)
+        assert factor_into_irreducibles(P(gf5, [3, 1]), gf5) == [P(gf5, [3, 1])]
+        with pytest.raises(ReducibleModulus):  # a modulus has degree 2..4
+            GF(5, (3, 1))
 
     def test_constant_never(self, gf5):
-        assert not polys.is_irreducible(P(gf5, [3]), gf5)
+        assert factor_into_irreducibles(P(gf5, [3]), gf5) == []
+        with pytest.raises(ReducibleModulus):
+            GF(5, (3,))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_small_modulus_matches_exhaustive_search(self, p):
+        field = GF(p)
+        for deg in (2, 3, 4):
+            irreducible = {tuple(f) for f in irreducible_polys(field, deg)}
+            for tail in itertools.product(range(p), repeat=deg):
+                try:
+                    GF(p, tail + (1,))
+                    accepted = True
+                except ReducibleModulus:
+                    accepted = False
+                assert accepted == (tuple(P(field, tail + (1,))) in irreducible), tail
 
     def test_counts_gf3(self, gf3):
         # (q^2 - q)/2 monic irreducible quadratics
@@ -104,7 +140,7 @@ class TestFactorization:
                 # found an irreducible octic; no factor of degree <= 4 divides it
                 for d in (1, 2):
                     for g in irreducible_polys(gf3, d):
-                        _, rem = polys.poly_divmod(coeffs, g, gf3)
+                        _, rem = poly_divmod(coeffs, g, gf3)
                         assert rem
                 return
         pytest.fail("no irreducible degree-8 polynomial found in 200 samples")
@@ -139,6 +175,27 @@ class TestFactorization:
             if trial < 5:
                 assert factors == factor_by_trial_division(prod, field)
 
+    @pytest.mark.parametrize(
+        "spec", ["gf(3)", "gf(5)", "gf(7)", "gf(3^2;t^2+1)", "gf(2^2;t^2+t+1)", "gf(2^4;t^4+t+1)"])
+    def test_split_map_vanishes_at_squares_or_trace_zero(self, spec):
+        """h = x^q - x is the product of x - c over every c, and a = x is c
+        modulo x - c.  So gcd(h, the split map of a) is the product of the
+        x - c with c a nonzero square (odd q) or of trace zero over GF(2)
+        (q = 2^k)."""
+        field = field_from_spec(spec)
+        q, zero, one = field.cardinality, field.zero, field.one
+        h = [zero, -one] + [zero] * (q - 2) + [one]
+        if q % 2:
+            roots = [c for c in field.elements() if c and c ** ((q - 1) // 2) == one]
+        else:
+            k = q.bit_length() - 1
+            roots = [c for c in field.elements() if not sum((c ** 2**i for i in range(k)), zero)]
+        want = [one]
+        for c in roots:
+            want = poly_mul(want, [-c, one], field)
+        F = polys.Coefficients(field)
+        assert polys._poly_gcd(h, polys._split_map([zero, one], h, 1, F), F) == want
+
     @pytest.mark.parametrize("spec,ints,power", [
         ("gf(2)", [1, 1], 8),  # (x+1)^8: a p-th power, derivative 0
         ("gf(3)", [2, 1, 1], 3),  # (x^2+x+2)^3
@@ -168,7 +225,7 @@ def test_divmod_and_eval(gf7):
         a, b = polys.trim(a), polys.trim(b)
         if not b:
             continue
-        q, r = polys.poly_divmod(a, b, gf7)
+        q, r = poly_divmod(a, b, gf7)
         recomposed = poly_mul(q, b, gf7)
         if r:
             recomposed = polys.trim(
@@ -181,5 +238,5 @@ def test_divmod_and_eval(gf7):
         assert recomposed == a
         assert polys.degree(r) < polys.degree(b) or not r
         x = gf7.random_scalar(rng)
-        qx, rx, bx, ax = (polys.poly_eval(p, x) for p in (q, r, b, a))
+        qx, rx, bx, ax = (poly_eval(p, x) for p in (q, r, b, a))
         assert qx * bx + rx == ax
